@@ -13,17 +13,19 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from .emit import dpo_to_dict, emit_dpo, emit_sft, emit_stats, sft_to_dict
 from .errors import ConfigError, InputError, InvariantError
-from .ingest import group_by_instance, ingest_trajectories
+from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
-from .model import CanonConfig, parse_trajectory_stream, serialize_trajectory
-from .pipeline import StageConfig, process_instances, selfcheck
-from .scoring import pair_to_dict, scored_tree_to_dict
+from .model import CanonConfig, Trajectory, parse_trajectory_stream, serialize_trajectory
+from .pipeline import InstanceResult, StageConfig, process_instances, selfcheck
+from .scoring import CriticalPair, pair_to_dict, scored_tree_to_dict
 from .synth import SynthConfig, generate
 from .tree import tree_to_dict
 
@@ -75,12 +77,13 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError(f"pair_mode must be all-pairs or max-min: {config['pair_mode']!r}")
     if config["sft_reduction"] not in ("sum", "mean"):
         raise ConfigError(f"sft_reduction must be sum or mean: {config['sft_reduction']!r}")
-    if int(config["loop_threshold"]) < 2:
-        raise ConfigError("loop_threshold must be >= 2")
-    if int(config["outlier_min_prefix"]) < 1:
-        raise ConfigError("outlier_min_prefix must be >= 1")
-    if int(config["jobs"]) < 1:
-        raise ConfigError("jobs must be >= 1")
+    for key, minimum in (("loop_threshold", 2), ("outlier_min_prefix", 1), ("jobs", 1)):
+        try:
+            value = int(config[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key} must be an integer: {config[key]!r}") from exc
+        if value < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}")
     threshold = parse_threshold(config["critical_threshold"])
     if not (0 < threshold < 1):
         raise ConfigError(f"critical_threshold must be in (0, 1): {threshold}")
@@ -89,7 +92,7 @@ def _validate_config(config: dict[str, Any]) -> None:
 def parse_threshold(value: Any) -> Fraction:
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad critical_threshold {value!r}") from exc
 
 
@@ -101,13 +104,12 @@ def stage_config(config: dict[str, Any]) -> StageConfig:
         strict_merge=config["merge_mode"] == "strict",
         critical_threshold=parse_threshold(config["critical_threshold"]),
         pair_mode=config["pair_mode"],
-        jobs=int(config["jobs"]),
     )
 
 
 def echo_config(config: dict[str, Any]) -> dict[str, Any]:
-    """Provenance copy of the effective config; jobs is an execution knob
-    that must not change output bytes, so it is excluded."""
+    """Provenance copy of the effective config; jobs is accepted but has no
+    effect, and must not change output bytes, so it is excluded."""
     return {k: v for k, v in config.items() if k != "jobs"}
 
 
@@ -136,121 +138,100 @@ def json_doc(record: dict[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-def _read_corpus(path: str, config: dict[str, Any]):
-    canon = CanonConfig(collapse_whitespace=bool(config["collapse_whitespace"]))
+# command -> the files it writes, in write order; `all` writes every stage's files
+COMMAND_OUTPUTS: dict[str, tuple[str, ...]] = {
+    "ingest": ("retained.jsonl", "ingest_report.json"),
+    "tree": ("trees.jsonl",),
+    "score": ("scored_trees.jsonl",),
+    "pairs": ("pairs.jsonl",),
+    "sft": ("sft.jsonl",),
+    "dpo": ("dpo.jsonl",),
+    "stats": ("stats.json",),
+}
+COMMAND_OUTPUTS["all"] = tuple(name for row in COMMAND_OUTPUTS.values() for name in row)
+
+
+def _load_groups(
+    path: str, stage: StageConfig, lenient: bool, ingest: bool
+) -> tuple[dict[str, list[Trajectory]], IngestReport | None]:
+    """Parse the corpus, then clean it (ingest) or only group it (later stages)."""
     try:
         with open(path, "rb") as fh:
-            return parse_trajectory_stream(fh, strict=not config["lenient"], canon=canon)
+            ts, skipped = parse_trajectory_stream(fh, strict=not lenient, canon=stage.canon)
     except OSError as exc:
         raise InputError(f"cannot read corpus {path}: {exc}") from exc
-
-
-def _run_ingest(args, config):
-    ts, skipped = _read_corpus(args.input, config)
+    if not ingest:
+        return group_by_instance(ts), None
     groups, report = ingest_trajectories(
-        ts,
-        loop_threshold=int(config["loop_threshold"]),
-        outlier_min_prefix=int(config["outlier_min_prefix"]),
-        canon=CanonConfig(collapse_whitespace=bool(config["collapse_whitespace"])),
+        ts, stage.loop_threshold, stage.outlier_min_prefix, stage.canon
     )
     report.malformed_skipped = skipped
-    out = Path(args.out_dir)
-    retained = [t for ts in groups.values() for t in ts]
-    atomic_write(out / "retained.jsonl", "".join(serialize_trajectory(t) + "\n" for t in retained))
-    doc = report.to_dict()
-    doc["effective_config"] = echo_config(config)
-    atomic_write(out / "ingest_report.json", json_doc(doc))
     return groups, report
 
 
-def _grouped_retained(args, config):
-    """Stage commands after ingest read the retained corpus and just group it."""
-    ts, _ = _read_corpus(args.input, config)
-    return group_by_instance(ts)
+@dataclass
+class _Run:
+    """One dataset command's state; trees, scores and pairs are built on first use."""
+
+    config: dict[str, Any]
+    stage: StageConfig
+    groups: dict[str, list[Trajectory]]
+    report: IngestReport | None
+    sft_warnings: int = 0
+
+    def retained(self) -> Iterator[Trajectory]:
+        return (t for ts in self.groups.values() for t in ts)
+
+    @cached_property
+    def results(self) -> dict[str, InstanceResult]:
+        return process_instances(self.groups, self.stage)
+
+    @cached_property
+    def pairs(self) -> list[CriticalPair]:
+        return [p for r in self.results.values() for p in r.pairs]
+
+    def with_config(self, doc: dict[str, Any]) -> str:
+        doc["effective_config"] = echo_config(self.config)
+        return json_doc(doc)
 
 
-def cmd_ingest(args, config) -> int:
-    _run_ingest(args, config)
-    return EXIT_OK
+def _render_sft(run: _Run) -> str:
+    examples, run.sft_warnings = emit_sft(run.retained())
+    return jsonl([sft_to_dict(e) for e in examples])
 
 
-def cmd_tree(args, config) -> int:
-    groups = _grouped_retained(args, config)
-    results = process_instances(groups, stage_config(config))
-    atomic_write(
-        Path(args.out_dir) / "trees.jsonl",
-        jsonl([tree_to_dict(r.tree) for r in results.values()]),
+_RENDERERS: dict[str, Callable[[_Run], str]] = {
+    "retained.jsonl": lambda run: "".join(serialize_trajectory(t) + "\n" for t in run.retained()),
+    "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
+    "trees.jsonl": lambda run: jsonl([tree_to_dict(r.tree) for r in run.results.values()]),
+    "scored_trees.jsonl": lambda run: jsonl(
+        [scored_tree_to_dict(r.tree, r.scores) for r in run.results.values()]
+    ),
+    "pairs.jsonl": lambda run: jsonl([pair_to_dict(p) for p in run.pairs]),
+    "sft.jsonl": _render_sft,
+    "dpo.jsonl": lambda run: jsonl([dpo_to_dict(e) for e in emit_dpo(run.pairs)]),
+    "stats.json": lambda run: run.with_config(
+        emit_stats(run.report, [r.tree for r in run.results.values()], run.pairs)
+    ),
+}
+
+
+def cmd_pipeline(args, config) -> int:
+    """Write the command's COMMAND_OUTPUTS row in order from one parse of the input.
+
+    Only `ingest` and `all` clean the corpus; later stages take it as
+    retained. The ingest files are written before any tree is built.
+    """
+    names = COMMAND_OUTPUTS[args.command]
+    stage = stage_config(config)
+    groups, report = _load_groups(
+        args.input, stage, bool(config["lenient"]), ingest="retained.jsonl" in names
     )
-    return EXIT_OK
-
-
-def cmd_score(args, config) -> int:
-    groups = _grouped_retained(args, config)
-    results = process_instances(groups, stage_config(config))
-    atomic_write(
-        Path(args.out_dir) / "scored_trees.jsonl",
-        jsonl([scored_tree_to_dict(r.tree, r.scores) for r in results.values()]),
-    )
-    return EXIT_OK
-
-
-def cmd_pairs(args, config) -> int:
-    groups = _grouped_retained(args, config)
-    results = process_instances(groups, stage_config(config))
-    pairs = [p for r in results.values() for p in r.pairs]
-    atomic_write(Path(args.out_dir) / "pairs.jsonl", jsonl([pair_to_dict(p) for p in pairs]))
-    return EXIT_OK
-
-
-def cmd_sft(args, config) -> int:
-    groups = _grouped_retained(args, config)
-    retained = [t for ts in groups.values() for t in ts]
-    examples, warnings = emit_sft(retained)
-    atomic_write(Path(args.out_dir) / "sft.jsonl", jsonl([sft_to_dict(e) for e in examples]))
-    if warnings:
-        print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_dpo(args, config) -> int:
-    groups = _grouped_retained(args, config)
-    results = process_instances(groups, stage_config(config))
-    pairs = [p for r in results.values() for p in r.pairs]
-    examples = emit_dpo(pairs)
-    atomic_write(Path(args.out_dir) / "dpo.jsonl", jsonl([dpo_to_dict(e) for e in examples]))
-    return EXIT_OK
-
-
-def cmd_stats(args, config) -> int:
-    groups = _grouped_retained(args, config)
-    results = process_instances(groups, stage_config(config))
-    pairs = [p for r in results.values() for p in r.pairs]
-    stats = emit_stats(None, [r.tree for r in results.values()], pairs)
-    stats["effective_config"] = echo_config(config)
-    atomic_write(Path(args.out_dir) / "stats.json", json_doc(stats))
-    return EXIT_OK
-
-
-def cmd_all(args, config) -> int:
-    groups, report = _run_ingest(args, config)
+    run = _Run(config, stage, groups, report)
     out = Path(args.out_dir)
-    results = process_instances(groups, stage_config(config))
-    trees = [r.tree for r in results.values()]
-    pairs = [p for r in results.values() for p in r.pairs]
-    retained = [t for ts in groups.values() for t in ts]
-    atomic_write(out / "trees.jsonl", jsonl([tree_to_dict(t) for t in trees]))
-    atomic_write(
-        out / "scored_trees.jsonl",
-        jsonl([scored_tree_to_dict(r.tree, r.scores) for r in results.values()]),
-    )
-    atomic_write(out / "pairs.jsonl", jsonl([pair_to_dict(p) for p in pairs]))
-    examples, warnings = emit_sft(retained)
-    atomic_write(out / "sft.jsonl", jsonl([sft_to_dict(e) for e in examples]))
-    atomic_write(out / "dpo.jsonl", jsonl([dpo_to_dict(e) for e in emit_dpo(pairs)]))
-    stats = emit_stats(report, trees, pairs)
-    stats["effective_config"] = echo_config(config)
-    atomic_write(out / "stats.json", json_doc(stats))
-    if warnings:
+    for name in names:
+        atomic_write(out / name, _RENDERERS[name](run))
+    if run.sft_warnings:
         print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)
     return EXIT_OK
 
@@ -281,12 +262,14 @@ def cmd_synth(args, config) -> int:
 
 def cmd_selfcheck(args, config) -> int:
     synth_cfg = _synth_config(args, config)
-    summary = selfcheck(synth_cfg, jobs=int(config["jobs"]))
+    summary = selfcheck(synth_cfg)
     print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
     return EXIT_OK
 
 
-def _loss_record(obj: dict[str, Any], default_reduction: str) -> dict[str, Any]:
+def _loss_record(obj: Any, default_reduction: str) -> dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise InputError("loss record is not an object")
     kind = obj.get("kind")
     if kind == "sft":
         lp = TrajectoryLogProbs(
@@ -327,7 +310,7 @@ def cmd_loss(args, config) -> int:
                 try:
                     obj = json.loads(line)
                     lines_out.append(_loss_record(obj, config["sft_reduction"]))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                except (InputError, KeyError, TypeError, ValueError) as exc:
                     raise InputError(str(exc), line=line_no) from exc
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
@@ -359,19 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in _CONFIG_DEFAULTS.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
-                p.add_argument(flag, dest=key, action="store_true", default=None)
+                p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
             else:
                 p.add_argument(flag, dest=key, type=type(default), default=None)
         return p
 
-    add("ingest", cmd_ingest)
-    add("tree", cmd_tree)
-    add("score", cmd_score)
-    add("pairs", cmd_pairs)
-    add("sft", cmd_sft)
-    add("dpo", cmd_dpo)
-    add("stats", cmd_stats)
-    add("all", cmd_all)
+    for name in COMMAND_OUTPUTS:
+        add(name, cmd_pipeline)
 
     loss = add("loss", cmd_loss, needs_out=False)
     loss.add_argument("--output", help="write results here instead of stdout")

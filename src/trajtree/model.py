@@ -133,14 +133,14 @@ def parse_trajectory_stream(
     out: list[Trajectory] = []
     skipped = 0
     for line_no, line in enumerate(source, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        if not line.strip():
-            continue
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
             obj = json.loads(line)
             out.append(_parse_record(obj, canon))
-        except (json.JSONDecodeError, InputError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
             if strict:
                 raise InputError(str(exc), line=line_no) from exc
             skipped += 1

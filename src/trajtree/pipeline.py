@@ -1,13 +1,11 @@
 """Stage orchestration shared by the CLI: per-instance processing and selfcheck.
 
-Instances are independent, so tree building, scoring, and pair
-extraction fan out across a thread pool; results are merged back in
-first-appearance instance order so parallelism never changes output.
+Tree building, scoring and pair extraction run one instance at a time,
+in first-appearance instance order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -36,7 +34,6 @@ class StageConfig:
     strict_merge: bool = False
     critical_threshold: Fraction = DEFAULT_THRESHOLD
     pair_mode: str = ALL_PAIRS
-    jobs: int = 1
 
 
 @dataclass
@@ -50,9 +47,8 @@ def process_instances(
     groups: dict[str, list[Trajectory]], config: StageConfig
 ) -> dict[str, InstanceResult]:
     """Tree + scores + pairs per instance, in the groups' key order."""
-
-    def one(item: tuple[str, list[Trajectory]]) -> tuple[str, InstanceResult]:
-        instance_id, ts = item
+    results = {}
+    for instance_id, ts in groups.items():
         tree = build_tree(
             instance_id, ts[0].prompt, ts, canon=config.canon, strict_merge=config.strict_merge
         )
@@ -61,15 +57,8 @@ def process_instances(
             tree, scores, threshold=config.critical_threshold, pair_mode=config.pair_mode
         )
         pairs = extract_critical_pairs(tree, triples, scores, canon=config.canon)
-        return instance_id, InstanceResult(tree=tree, scores=scores, pairs=pairs)
-
-    items = list(groups.items())
-    if config.jobs <= 1:
-        results = [one(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(one, items))
-    return dict(results)
+        results[instance_id] = InstanceResult(tree=tree, scores=scores, pairs=pairs)
+    return results
 
 
 def node_prefix_scores(
@@ -110,7 +99,7 @@ def pairs_as_prefix_set(
     return out
 
 
-def selfcheck(synth_config: SynthConfig, jobs: int = 1) -> dict[str, Any]:
+def selfcheck(synth_config: SynthConfig) -> dict[str, Any]:
     """Synthesize a corpus, run the pipeline, and compare against the oracles.
 
     Raises InvariantError on any disagreement; returns a summary record.
@@ -118,7 +107,7 @@ def selfcheck(synth_config: SynthConfig, jobs: int = 1) -> dict[str, Any]:
     """
     corpus, truth = generate(synth_config)
     groups, report = ingest_trajectories(corpus)
-    stage = StageConfig(jobs=jobs)
+    stage = StageConfig()
     results = process_instances(groups, stage)
 
     checked_instances = 0

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trajtree.cli import main
+from trajtree.cli import COMMAND_OUTPUTS, main
 from trajtree.model import serialize_trajectory
 
 from conftest import make_traj
@@ -41,11 +41,26 @@ class TestExitCodes:
         assert "line 1" in capsys.readouterr().err
 
     def test_bad_config_value(self, corpus_path, tmp_path, capsys):
-        code = main([
-            "ingest", "--input", str(corpus_path), "--out-dir", str(tmp_path / "o"),
-            "--loop-threshold", "1",
-        ])
-        assert code == 1
+        cfg = tmp_path / "cfg.json"
+        cases = [
+            (None, ["--loop-threshold", "1"]),
+            ('{"loop_threshold": "x"}', []),
+            ('{"outlier_min_prefix": "x"}', []),
+            ('{"jobs": "x"}', []),
+            ('{"jobs": null}', []),
+            ('{"critical_threshold": Infinity}', []),
+        ]
+        for config_text, flags in cases:
+            config_args = []
+            if config_text is not None:
+                cfg.write_text(config_text, encoding="utf-8")
+                config_args = ["--config", str(cfg)]
+            code = main([
+                *config_args,
+                "ingest", "--input", str(corpus_path), "--out-dir", str(tmp_path / "o"),
+                *flags,
+            ])
+            assert code == 1, (config_text, flags)
 
     def test_unknown_config_key_in_file(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -55,6 +70,58 @@ class TestExitCodes:
             "ingest", "--input", str(corpus_path), "--out-dir", str(tmp_path / "o"),
         ])
         assert code == 1
+
+    def test_non_utf8_line_strict_exits_2(self, tmp_path, corpus_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(corpus_path.read_bytes() + b"\xff\xfe\n")
+        code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_non_utf8_line_lenient_is_skipped(self, tmp_path, corpus_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe\n" + corpus_path.read_bytes())
+        out = tmp_path / "o"
+        assert main(["ingest", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["malformed_skipped"] == 1
+        assert report["retained"] == 3
+
+
+class TestCommandOutputs:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OUTPUTS))
+    def test_writes_exactly_its_row(self, command, corpus_path, tmp_path):
+        out = tmp_path / "out"
+        assert main([command, "--input", str(corpus_path), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(COMMAND_OUTPUTS[command])
+
+
+class TestBooleanFlags:
+    def test_no_collapse_whitespace_keeps_actions_apart(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            serialize_trajectory(make_traj(tid, [(action, "ok"), ("submit", None)], resolved))
+            + "\n"
+            for tid, action, resolved in (("t1", "a  b", 1), ("t2", "a b", 0))
+        ), encoding="utf-8")
+
+        def root_children(*flags):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["tree", "--input", str(corpus), "--out-dir", str(out), *flags]) == 0
+            tree = json.loads((out / "trees.jsonl").read_text())
+            return len(tree["nodes"][tree["root_id"]]["children"])
+
+        assert root_children() == 1
+        assert root_children("--no-collapse-whitespace") == 2
+
+    def test_no_lenient_overrides_config_file(self, tmp_path, corpus_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lenient": true}', encoding="utf-8")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(corpus_path.read_text() + "not json\n", encoding="utf-8")
+        args = ["--config", str(cfg), "ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")]
+        assert main(args) == 0
+        assert main([*args, "--no-lenient"]) == 2
 
 
 class TestAll:
@@ -153,8 +220,11 @@ class TestLossCommand:
 
     def test_bad_record_exits_2(self, tmp_path, capsys):
         path = tmp_path / "loss_in.jsonl"
-        path.write_text('{"kind": "nope"}\n', encoding="utf-8")
-        assert main(["loss", "--input", str(path)]) == 2
+        good = '{"kind": "sft", "action_logps": [-1.0]}\n'
+        for bad in ('{"kind": "nope"}\n', "[1]\n"):
+            path.write_text(good + bad, encoding="utf-8")
+            assert main(["loss", "--input", str(path)]) == 2, bad
+            assert "line 2" in capsys.readouterr().err, bad
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "loss_in.jsonl"
