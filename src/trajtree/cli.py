@@ -114,11 +114,18 @@ def echo_config(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def atomic_write(path: Path, text: str) -> None:
-    """Write whole-file then rename, so failures never leave partial output."""
+    """Write whole-file then rename, so failures never leave partial output.
+
+    The file gets the mode a plain open() would give it (0o666 less the
+    umask), not mkstemp's 0o600.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -303,14 +310,17 @@ def _loss_record(obj: Any, default_reduction: str) -> dict[str, Any]:
 def cmd_loss(args, config) -> int:
     lines_out = []
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+        with open(args.input, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
                 try:
+                    line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
+                    if not line.strip():
+                        continue
                     obj = json.loads(line)
                     lines_out.append(_loss_record(obj, config["sft_reduction"]))
-                except (InputError, KeyError, TypeError, ValueError) as exc:
+                except (
+                    InputError, KeyError, TypeError, ValueError, OverflowError, RecursionError
+                ) as exc:
                     raise InputError(str(exc), line=line_no) from exc
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc

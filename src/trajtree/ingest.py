@@ -6,6 +6,7 @@ only sees the cleaned peer set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable
 
@@ -73,15 +74,6 @@ def filter_loops(
     return kept, len(ts) - len(kept)
 
 
-def _common_prefix_len(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 def filter_outliers(
     groups: dict[str, list[Trajectory]],
     k: int = DEFAULT_OUTLIER_MIN_PREFIX,
@@ -93,6 +85,10 @@ def filter_outliers(
     vouches for another. Singleton instances are exempt. Because prefix
     overlap is symmetric, every survivor's vouching peer also survives,
     which makes the filter idempotent.
+
+    A trajectory shares at least k leading actions with some peer exactly
+    when its first k keys (it has at least k) occur at least twice in the
+    group, so one count over the k-key heads decides every member.
     """
     if k < 1:
         raise ConfigError(f"outlier prefix threshold must be >= 1, got {k}")
@@ -102,16 +98,10 @@ def filter_outliers(
         if len(ts) <= 1:
             out[instance_id] = list(ts)
             continue
-        keys = [t.action_keys(canon) for t in ts]
-        kept = []
-        for i, t in enumerate(ts):
-            overlap = max(
-                _common_prefix_len(keys[i], keys[j]) for j in range(len(ts)) if j != i
-            )
-            if overlap >= k:
-                kept.append(t)
-            else:
-                removed += 1
+        heads = [t.action_keys(canon)[:k] for t in ts]
+        counts = Counter(heads)
+        kept = [t for t, head in zip(ts, heads) if len(head) == k and counts[head] >= 2]
+        removed += len(ts) - len(kept)
         if kept:
             out[instance_id] = kept
     return out, removed

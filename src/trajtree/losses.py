@@ -56,6 +56,8 @@ def sft_loss(lp: TrajectoryLogProbs, reduction: str = SUM) -> float:
     if not lp.action_logps:
         raise InputError("action_logps is empty")
     for v in lp.action_logps:
+        if not math.isfinite(v):
+            raise InputError(f"action log-prob {v} is not finite")
         if v > 0:
             raise InputError(f"action log-prob {v} is positive")
     total = -math.fsum(lp.action_logps)

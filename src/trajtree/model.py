@@ -63,6 +63,10 @@ class Trajectory:
     steps: tuple[Step, ...]
     resolved: int
     meta: dict[str, Any] = field(default_factory=dict)
+    # action_keys memo per CanonConfig; never compared, printed or serialized
+    _keys: dict[CanonConfig, tuple[str, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.resolved not in (0, 1):
@@ -74,8 +78,12 @@ class Trajectory:
                 raise InputError(f"step {i} is non-final but has no observation")
 
     def action_keys(self, config: CanonConfig = CanonConfig()) -> tuple[str, ...]:
-        """Canonical merge keys for the action sequence."""
-        return tuple(canonicalize_action(s.action, config).key for s in self.steps)
+        """Canonical merge keys for the action sequence, computed once per config."""
+        keys = self._keys.get(config)
+        if keys is None:
+            keys = tuple(canonicalize_action(s.action, config).key for s in self.steps)
+            self._keys[config] = keys
+        return keys
 
 
 def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
@@ -92,6 +100,7 @@ def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
     if not isinstance(raw_steps, list) or not raw_steps:
         raise InputError("steps must be a non-empty array")
     steps = []
+    keys = []
     for i, raw in enumerate(raw_steps):
         if not isinstance(raw, dict) or not isinstance(raw.get("action"), str):
             raise InputError(f"step {i} lacks a string action")
@@ -100,7 +109,7 @@ def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
             raise InputError(f"step {i} observation is not a string")
         if obs is None and i != len(raw_steps) - 1:
             raise InputError(f"step {i} is non-final but has no observation")
-        canonicalize_action(raw["action"], canon)  # reject blank actions early
+        keys.append(canonicalize_action(raw["action"], canon).key)  # rejects blank actions
         steps.append(Step(action=raw["action"], observation=obs))
     meta = obj.get("meta") or {}
     if not isinstance(meta, dict):
@@ -109,7 +118,7 @@ def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
     for key, value in obj.items():
         if key not in _KNOWN_FIELDS:
             meta[key] = value  # unknown fields survive round-trips via meta
-    return Trajectory(
+    t = Trajectory(
         instance_id=obj["instance_id"],
         trajectory_id=obj["trajectory_id"],
         prompt=obj["prompt"],
@@ -117,6 +126,8 @@ def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
         resolved=resolved,
         meta=meta,
     )
+    t._keys[canon] = tuple(keys)
+    return t
 
 
 def parse_trajectory_stream(
@@ -128,7 +139,9 @@ def parse_trajectory_stream(
 
     Returns (trajectories, skipped_count). In strict mode the first
     malformed line raises InputError with its line number; in lenient
-    mode malformed lines are counted and skipped.
+    mode malformed lines are counted and skipped. Each trajectory's
+    action_keys for `canon` are filled from the parse's own
+    canonicalization, so later stages never canonicalize again.
     """
     out: list[Trajectory] = []
     skipped = 0
@@ -140,7 +153,8 @@ def parse_trajectory_stream(
                 continue
             obj = json.loads(line)
             out.append(_parse_record(obj, canon))
-        except (UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder can follow
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, InputError) as exc:
             if strict:
                 raise InputError(str(exc), line=line_no) from exc
             skipped += 1

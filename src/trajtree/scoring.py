@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ConfigError, InvariantError
-from .model import CanonConfig, canonicalize_action
+from .model import CanonConfig
 from .tree import ACTION, LEAF, TrajTree, iter_path_nodes
 
 DEFAULT_THRESHOLD = Fraction(1, 2)
@@ -92,6 +92,8 @@ def identify_critical_actions(
         raise ConfigError(f"critical threshold must be in (0, 1), got {threshold}")
     if pair_mode not in (ALL_PAIRS, MAX_MIN):
         raise ConfigError(f"unknown pair mode {pair_mode!r}")
+    # a/b - c/d > num/den  <=>  (a*d - c*b) * den > num * b * d, all integers
+    num, den = threshold.numerator, threshold.denominator
     triples: list[tuple[int, int, int]] = []
     stack = [tree.root_id]
     while stack:
@@ -101,18 +103,24 @@ def identify_critical_actions(
         stack.extend(reversed(action_children))
         if len(action_children) < 2:
             continue
+        counts = [(c, scores[c].successes, scores[c].total) for c in action_children]
         if pair_mode == MAX_MIN:
-            hi = max(action_children, key=lambda c: scores[c].value)
-            lo = min(action_children, key=lambda c: scores[c].value)
-            if scores[hi].value - scores[lo].value > threshold:
-                triples.append((node_id, hi, lo))
+            hi = lo = counts[0]  # first maximum and first minimum, as max()/min() pick
+            for cur in counts[1:]:
+                if cur[1] * hi[2] > hi[1] * cur[2]:
+                    hi = cur
+                if cur[1] * lo[2] < lo[1] * cur[2]:
+                    lo = cur
+            if (hi[1] * lo[2] - lo[1] * hi[2]) * den > num * hi[2] * lo[2]:
+                triples.append((node_id, hi[0], lo[0]))
             continue
-        for i, a in enumerate(action_children):
-            for b in action_children[i + 1 :]:
-                diff = scores[a].value - scores[b].value
-                if diff > threshold:
+        for i, (a, sa, ta) in enumerate(counts):
+            for b, sb, tb in counts[i + 1 :]:
+                cross = (sa * tb - sb * ta) * den
+                bound = num * ta * tb
+                if cross > bound:
                     triples.append((node_id, a, b))
-                elif -diff > threshold:
+                elif -cross > bound:
                     triples.append((node_id, b, a))
     return triples
 
@@ -126,40 +134,29 @@ def extract_critical_pairs(
     """Materialize pairs with their shared raw-text context prefix.
 
     Pairs identical after canonicalization (context + chosen + rejected)
-    are emitted once, keeping the first occurrence.
+    are emitted once, keeping the first occurrence. The canonical form is
+    the nodes' stored action keys, which build_tree computed under the
+    same `canon`; the parameter is kept for callers that pass it.
     """
     pairs: list[CriticalPair] = []
     seen: set[tuple] = set()
+    # parent id -> (context segments, action keys on the path), built once per parent
+    contexts: dict[int, tuple[tuple[Segment, ...], tuple[str, ...]]] = {}
     for parent_id, chosen_id, rejected_id in triples:
-        context: list[Segment] = [Segment("prompt", tree.prompt)]
-        for node in iter_path_nodes(tree, parent_id):
-            assert node.action_raw is not None
-            if node.observation is None:
-                raise InvariantError(
-                    f"context node {node.node_id} in {tree.instance_id!r} "
-                    "lacks an observation"
-                )
-            context.append(Segment("action", node.action_raw))
-            context.append(Segment("observation", node.observation))
+        if parent_id not in contexts:
+            contexts[parent_id] = _context(tree, parent_id)
+        context, path_keys = contexts[parent_id]
         chosen = tree.nodes[chosen_id]
         rejected = tree.nodes[rejected_id]
         assert chosen.action_raw is not None and rejected.action_raw is not None
-        signature = (
-            tuple(
-                canonicalize_action(seg.content, canon).key
-                for seg in context
-                if seg.role == "action"
-            ),
-            chosen.action_key,
-            rejected.action_key,
-        )
+        signature = (path_keys, chosen.action_key, rejected.action_key)
         if signature in seen:
             continue
         seen.add(signature)
         pairs.append(
             CriticalPair(
                 instance_id=tree.instance_id,
-                context=tuple(context),
+                context=context,
                 chosen=chosen.action_raw,
                 rejected=rejected.action_raw,
                 score_chosen=scores[chosen_id].value,
@@ -168,6 +165,23 @@ def extract_critical_pairs(
             )
         )
     return pairs
+
+
+def _context(tree: TrajTree, parent_id: int) -> tuple[tuple[Segment, ...], tuple[str, ...]]:
+    """Raw-text context up to and including parent_id, plus its canonical key path."""
+    segments = [Segment("prompt", tree.prompt)]
+    keys = []
+    for node in iter_path_nodes(tree, parent_id):
+        assert node.action_raw is not None and node.action_key is not None
+        if node.observation is None:
+            raise InvariantError(
+                f"context node {node.node_id} in {tree.instance_id!r} "
+                "lacks an observation"
+            )
+        segments.append(Segment("action", node.action_raw))
+        segments.append(Segment("observation", node.observation))
+        keys.append(node.action_key)
+    return tuple(segments), tuple(keys)
 
 
 def format_rational(x: Fraction) -> str:

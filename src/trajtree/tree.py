@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .errors import InputError
-from .model import CanonConfig, Trajectory, canonicalize_action
+from .model import CanonConfig, Trajectory
 
 ROOT = "root"
 ACTION = "action"
@@ -28,6 +28,7 @@ class TreeNode:
     children: list[int] = field(default_factory=list)
     outcome: int | None = None  # leaves only
     trajectory_id: str | None = None  # leaves only (provenance)
+    parent_id: int | None = None  # None only at the root; not exported
 
 
 @dataclass
@@ -57,6 +58,8 @@ def build_tree(
         raise InputError(f"instance {instance_id!r} has no trajectories")
     root = TreeNode(node_id=0, kind=ROOT)
     nodes = {0: root}
+    # (parent id, action key[, observation]) -> the action child it merges into
+    merged: dict[tuple, TreeNode] = {}
     divergences = 0
     next_id = 1
     for t in ts:
@@ -68,17 +71,11 @@ def build_tree(
         if t.prompt != prompt:
             raise InputError(f"prompt mismatch in instance {instance_id!r}")
         cur = root
-        for step in t.steps:
-            key = canonicalize_action(step.action, canon).key
-            match = None
-            for child_id in cur.children:
-                child = nodes[child_id]
-                if child.kind != ACTION or child.action_key != key:
-                    continue
-                if strict_merge and child.observation != step.observation:
-                    continue
-                match = child
-                break
+        for key, step in zip(t.action_keys(canon), t.steps):
+            merge_key = (
+                (cur.node_id, key, step.observation) if strict_merge else (cur.node_id, key)
+            )
+            match = merged.get(merge_key)
             if match is None:
                 match = TreeNode(
                     node_id=next_id,
@@ -86,8 +83,10 @@ def build_tree(
                     action_key=key,
                     action_raw=step.action,
                     observation=step.observation,
+                    parent_id=cur.node_id,
                 )
                 nodes[next_id] = match
+                merged[merge_key] = match
                 cur.children.append(next_id)
                 next_id += 1
             else:
@@ -101,6 +100,7 @@ def build_tree(
             kind=LEAF,
             outcome=t.resolved,
             trajectory_id=t.trajectory_id,
+            parent_id=cur.node_id,
         )
         nodes[next_id] = leaf
         cur.children.append(next_id)
@@ -138,15 +138,12 @@ def enumerate_paths(tree: TrajTree) -> list[tuple[tuple[str, ...], int, str]]:
 
 def iter_path_nodes(tree: TrajTree, node_id: int) -> Iterator[TreeNode]:
     """Action nodes on the root-to-node path, in root-first order (node included)."""
-    parents: dict[int, int] = {}
-    for nid, node in tree.nodes.items():
-        for child_id in node.children:
-            parents[child_id] = nid
     path = []
-    cur = node_id
-    while cur != tree.root_id:
-        path.append(tree.nodes[cur])
-        cur = parents[cur]
+    cur = tree.nodes[node_id]
+    while cur.node_id != tree.root_id:
+        path.append(cur)
+        assert cur.parent_id is not None
+        cur = tree.nodes[cur.parent_id]
     yield from reversed(path)
 
 

@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import stat
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from trajtree.cli import COMMAND_OUTPUTS, main
+from trajtree import model
+from trajtree.cli import COMMAND_OUTPUTS, atomic_write, main
 from trajtree.model import serialize_trajectory
 
 from conftest import make_traj
@@ -81,6 +85,22 @@ class TestExitCodes:
     def test_non_utf8_line_lenient_is_skipped(self, tmp_path, corpus_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b"\xff\xfe\n" + corpus_path.read_bytes())
+        out = tmp_path / "o"
+        assert main(["ingest", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["malformed_skipped"] == 1
+        assert report["retained"] == 3
+
+    def test_deeply_nested_line_strict_exits_2(self, tmp_path, corpus_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(corpus_path.read_bytes() + b"[" * 100000 + b"\n")
+        code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_deeply_nested_line_lenient_is_skipped(self, tmp_path, corpus_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"[" * 100000 + b"\n" + corpus_path.read_bytes())
         out = tmp_path / "o"
         assert main(["ingest", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
         report = json.loads((out / "ingest_report.json").read_text())
@@ -203,6 +223,31 @@ class TestSynthAndSelfcheck:
         assert stats["trajectory_count"] == stats["ingest"]["retained"]
 
 
+class TestCanonicalizeOnce:
+    def test_all_canonicalizes_each_step_at_most_once(self, tmp_path, monkeypatch):
+        synth_dir = tmp_path / "synth"
+        assert main(["synth", "--seed", "5", "--instances", "30", "--out-dir", str(synth_dir)]) == 0
+        corpus = synth_dir / "corpus.jsonl"
+        steps = sum(len(json.loads(line)["steps"]) for line in corpus.read_text().splitlines())
+        original = model.canonicalize_action
+        calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("trajtree") and getattr(mod, "canonicalize_action", None) is original:
+                monkeypatch.setattr(mod, "canonicalize_action", counting)
+        for flags in ([], ["--merge-mode", "strict", "--pair-mode", "max-min"]):
+            calls = 0
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["all", "--input", str(corpus), "--out-dir", str(out), *flags]) == 0
+            assert json.loads((out / "stats.json").read_text())["critical_pair_count"] > 0
+            assert 0 < calls <= steps, flags
+
+
 class TestLossCommand:
     def test_sft_and_dpo_records(self, tmp_path, capsys):
         records = [
@@ -226,6 +271,27 @@ class TestLossCommand:
             assert main(["loss", "--input", str(path)]) == 2, bad
             assert "line 2" in capsys.readouterr().err, bad
 
+    def test_unparseable_line_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "loss_in.jsonl"
+        good = b'{"kind": "sft", "action_logps": [-1.0]}\n'
+        huge = b"1" + b"0" * 400  # an int too large for float()
+        overflow = (
+            b'{"kind": "dpo", "policy_chosen": ' + huge + b', "policy_rejected": -1,'
+            b' "ref_chosen": -1, "ref_rejected": -1, "beta": 0.1}\n'
+        )
+        for bad in (b"\xff\xfe\n", b"[" * 100000 + b"\n", overflow):
+            path.write_bytes(good + bad)
+            assert main(["loss", "--input", str(path)]) == 2, bad[:8]
+            assert "line 2" in capsys.readouterr().err, bad[:8]
+
+    def test_non_finite_sft_logp_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "loss_in.jsonl"
+        for value in ("NaN", "Infinity", "-Infinity"):
+            path.write_text(f'{{"kind": "sft", "action_logps": [{value}]}}\n', encoding="utf-8")
+            assert main(["loss", "--input", str(path)]) == 2, value
+            captured = capsys.readouterr()
+            assert captured.out == "" and "line 1" in captured.err, value
+
     def test_output_file(self, tmp_path):
         path = tmp_path / "loss_in.jsonl"
         path.write_text('{"kind": "sft", "action_logps": [-1.0]}\n', encoding="utf-8")
@@ -241,3 +307,24 @@ class TestNoPartialOutput:
         out = tmp_path / "out"
         assert main(["all", "--input", str(bad), "--out-dir", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestOutputMode:
+    def test_files_follow_the_umask(self, tmp_path):
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(["synth", "--instances", "2", "--out-dir", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == {"corpus.jsonl": 0o644, "ground_truth.json": 0o644}
+
+    def test_restrictive_umask_respected(self, tmp_path):
+        path = tmp_path / "f.txt"
+        old = os.umask(0o077)
+        try:
+            atomic_write(path, "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600

@@ -185,6 +185,31 @@ class TestProperties:
         assert report2.retained == report2.input_count == len(retained)
         assert groups2 == groups
 
+    @given(corpora(), st.integers(1, 4))
+    @settings(max_examples=150)
+    def test_outliers_match_pairwise_overlap(self, ts, k):
+        def overlap(a, b):
+            n = 0
+            for x, y in zip(a, b):
+                if x != y:
+                    break
+                n += 1
+            return n
+
+        groups = group_by_instance(ts)
+        want, want_removed = {}, 0
+        for inst, group in groups.items():
+            kept = [
+                t
+                for t in group
+                if len(group) <= 1
+                or max(overlap(t.action_keys(), u.action_keys()) for u in group if u is not t) >= k
+            ]
+            want_removed += len(group) - len(kept)
+            if kept:
+                want[inst] = kept
+        assert filter_outliers(groups, k=k) == (want, want_removed)
+
     @given(corpora(), st.randoms())
     @settings(max_examples=150)
     def test_membership_invariant_under_permutation(self, ts, rnd):

@@ -46,6 +46,11 @@ class TestSftLoss:
         with pytest.raises(InputError):
             sft_loss(TrajectoryLogProbs(()))
 
+    def test_nonfinite_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InputError):
+                sft_loss(TrajectoryLogProbs((-1.0, bad)))
+
     def test_bad_reduction(self):
         with pytest.raises(ConfigError):
             sft_loss(TrajectoryLogProbs((-1.0,)), reduction="max")

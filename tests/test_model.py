@@ -108,6 +108,21 @@ class TestParse:
         assert [t.trajectory_id for t in ts] == [f"t{i}" for i in range(5)]
 
 
+class TestActionKeys:
+    def test_keys_per_config(self):
+        line = VALID_LINE.replace('"search"', '" search  all "')
+        (t,), _ = parse_trajectory_stream(io.StringIO(line + "\n"))
+        assert t.action_keys() == ("search all", "submit")
+        assert t.action_keys(CanonConfig(collapse_whitespace=False)) == ("search  all", "submit")
+        assert t.action_keys() == ("search all", "submit")
+
+    def test_memo_not_compared_or_printed(self):
+        t = Trajectory("i", "t", "p", (Step("a"),), resolved=1)
+        fresh = Trajectory("i", "t", "p", (Step("a"),), resolved=1)
+        t.action_keys()
+        assert t == fresh and repr(t) == repr(fresh)
+
+
 class TestInvariants:
     def test_resolved_must_be_binary(self):
         with pytest.raises(InputError):

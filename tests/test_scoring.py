@@ -1,17 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajtree.errors import ConfigError
 from trajtree.scoring import (
+    ALL_PAIRS,
     MAX_MIN,
+    NodeScore,
     extract_critical_pairs,
     format_rational,
     identify_critical_actions,
     score_nodes,
 )
 from trajtree.synth import brute_force_scores
-from trajtree.tree import ACTION, build_tree
+from trajtree.tree import ACTION, ROOT, TrajTree, TreeNode, build_tree
 
 from conftest import O_EDIT, O_SEARCH, PROMPT, make_traj
 
@@ -159,6 +162,51 @@ class TestIdentifyCritical:
         for threshold in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             for _, c, r in identify_critical_actions(fixture_tree, scores, threshold):
                 assert scores[c].value - scores[r].value > threshold
+
+
+def fraction_triples(counts, threshold, pair_mode):
+    """Restatement of the sibling comparison in exact Fraction arithmetic."""
+    value = {c: Fraction(s, t) for c, (s, t) in counts.items()}
+    children = list(counts)
+    if pair_mode == MAX_MIN:
+        hi = max(children, key=value.get)
+        lo = min(children, key=value.get)
+        return [(0, hi, lo)] if value[hi] - value[lo] > threshold else []
+    out = []
+    for i, a in enumerate(children):
+        for b in children[i + 1 :]:
+            diff = value[a] - value[b]
+            if diff > threshold:
+                out.append((0, a, b))
+            elif -diff > threshold:
+                out.append((0, b, a))
+    return out
+
+
+def star_tree(n):
+    """A root with n action children, scored directly by the test."""
+    nodes = {0: TreeNode(node_id=0, kind=ROOT, children=list(range(1, n + 1)))}
+    for i in range(1, n + 1):
+        nodes[i] = TreeNode(node_id=i, kind=ACTION, action_key=f"a{i}", parent_id=0)
+    return TrajTree("i", PROMPT, nodes, root_id=0, path_count=0, trajectory_ids=[])
+
+
+_count = st.integers(1, 40).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t)))
+
+
+class TestIntegerComparison:
+    @given(
+        st.lists(_count, min_size=2, max_size=8),
+        st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda f: 0 < f < 1),
+        st.sampled_from([ALL_PAIRS, MAX_MIN]),
+    )
+    @settings(max_examples=300)
+    def test_matches_fraction_arithmetic(self, children, threshold, pair_mode):
+        tree = star_tree(len(children))
+        counts = {i: c for i, c in enumerate(children, start=1)}
+        scores = {i: NodeScore(i, s, t) for i, (s, t) in counts.items()}
+        got = identify_critical_actions(tree, scores, threshold, pair_mode)
+        assert got == fraction_triples(counts, threshold, pair_mode)
 
 
 class TestExtractPairs:

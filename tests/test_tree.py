@@ -1,11 +1,13 @@
 import pytest
 
 from trajtree.errors import InputError
+from trajtree.synth import SynthConfig, generate
 from trajtree.tree import (
     ACTION,
     LEAF,
     build_tree,
     enumerate_paths,
+    iter_path_nodes,
     tree_stats,
     tree_to_dict,
 )
@@ -114,6 +116,32 @@ class TestObservationMerging:
         tree = build_tree("inst-fix-x", PROMPT, [t1, t2], strict_merge=True)
         nodes_a = [n for n in tree.nodes.values() if n.action_key == "a"]
         assert len(nodes_a) == 2
+
+
+class TestParentIds:
+    @pytest.mark.parametrize("strict_merge", [False, True])
+    def test_parent_lists_child(self, strict_merge):
+        corpus, _ = generate(SynthConfig(seed=3, instances=4, divergent_observations=True))
+        ts = [t for t in corpus if t.instance_id == corpus[0].instance_id]
+        tree = build_tree(ts[0].instance_id, ts[0].prompt, ts, strict_merge=strict_merge)
+        assert tree.nodes[tree.root_id].parent_id is None
+        for node in tree.nodes.values():
+            if node.node_id != tree.root_id:
+                assert node.node_id in tree.nodes[node.parent_id].children
+
+    def test_path_nodes_follow_children(self, fixture_trajectories):
+        tree = build_fixture_tree(fixture_trajectories)
+        parents = {c: n.node_id for n in tree.nodes.values() for c in n.children}
+        for node in tree.nodes.values():
+            if node.kind != ACTION:
+                continue
+            path = [n.node_id for n in iter_path_nodes(tree, node.node_id)]
+            assert path[-1] == node.node_id
+            assert [parents[nid] for nid in path] == [tree.root_id] + path[:-1]
+
+    def test_parent_id_not_exported(self, fixture_trajectories):
+        exported = tree_to_dict(build_fixture_tree(fixture_trajectories))
+        assert all("parent_id" not in node for node in exported["nodes"])
 
 
 class TestEnumeratePaths:
