@@ -19,13 +19,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from .emit import dpo_to_dict, emit_dpo, emit_sft, emit_stats, sft_to_dict
+from .emit import emit_sft, emit_stats, sft_to_dict
 from .errors import ConfigError, InputError, InvariantError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
 from .model import CanonConfig, Trajectory, parse_trajectory_stream, serialize_trajectory
 from .pipeline import InstanceResult, StageConfig, process_instances, selfcheck
-from .scoring import CriticalPair, pair_to_dict, scored_tree_to_dict
+from .scoring import CriticalPair, format_rational
 from .synth import SynthConfig, generate
 from .tree import tree_to_dict
 
@@ -136,9 +136,13 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
+# one compact encoder for every JSON-lines file; json.dumps with keyword
+# arguments would build a new encoder per record
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def jsonl(records: list[dict[str, Any]]) -> str:
-    lines = [json.dumps(r, ensure_ascii=False, separators=(",", ":")) for r in records]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_encode(r) + "\n" for r in records)
 
 
 def json_doc(record: dict[str, Any]) -> str:
@@ -197,9 +201,69 @@ class _Run:
     def pairs(self) -> list[CriticalPair]:
         return [p for r in self.results.values() for p in r.pairs]
 
+    @cached_property
+    def tree_parts(self) -> list[tuple[str, list[str]]]:
+        """Per instance: its tree_to_dict record up to `"nodes":[`, and each node's JSON.
+
+        trees.jsonl and scored_trees.jsonl are spliced from these, so each
+        tree head and node is encoded once.
+        """
+        parts = []
+        for r in self.results.values():
+            record = tree_to_dict(r.tree)
+            nodes = [_encode(node) for node in record["nodes"]]
+            record["nodes"] = []
+            parts.append((_encode(record)[: -len("]}")], nodes))
+        return parts
+
+    @cached_property
+    def pair_parts(self) -> list[tuple[str, str, str, str]]:
+        """Per pair: `{"instance_id":…`, `,"parent_node_id":N`, `,"context":[…]`
+        and `,"chosen":…}` with its newline.
+
+        A pairs.jsonl line joins all four; a dpo.jsonl line, the same
+        record without parent_node_id, skips the second. Each distinct
+        (instance, parent) context array is encoded once and shared.
+        """
+        parts = []
+        for r in self.results.values():
+            head = '{"instance_id":' + _encode(r.tree.instance_id)
+            contexts: dict[int, str] = {}
+            for p in r.pairs:
+                context = contexts.get(p.parent_node_id)
+                if context is None:
+                    context = ',"context":' + _encode(
+                        [{"role": s.role, "content": s.content} for s in p.context]
+                    )
+                    contexts[p.parent_node_id] = context
+                # the encoder writes a finite float as its repr()
+                tail = (
+                    f',"chosen":{_encode(p.chosen)},"rejected":{_encode(p.rejected)}'
+                    f',"score_chosen":"{format_rational(p.score_chosen)}"'
+                    f',"score_rejected":"{format_rational(p.score_rejected)}"'
+                    f',"score_chosen_decimal":{float(p.score_chosen)!r}'
+                    f',"score_rejected_decimal":{float(p.score_rejected)!r}}}\n'
+                )
+                parts.append((head, f',"parent_node_id":{p.parent_node_id}', context, tail))
+        return parts
+
     def with_config(self, doc: dict[str, Any]) -> str:
         doc["effective_config"] = echo_config(self.config)
         return json_doc(doc)
+
+
+def _render_scored_trees(run: _Run) -> str:
+    """Each node's trees.jsonl JSON with scored_tree_to_dict's columns spliced in."""
+    lines = []
+    for (head, nodes), r in zip(run.tree_parts, run.results.values()):
+        scores = [r.scores[node_id] for node_id in sorted(r.tree.nodes)]
+        scored = (
+            f'{node[:-1]},"successes":{s.successes},"total":{s.total},'
+            f'"score":"{s.successes}/{s.total}"}}'
+            for node, s in zip(nodes, scores)
+        )
+        lines.append(head + ",".join(scored) + "]}\n")
+    return "".join(lines)
 
 
 def _render_sft(run: _Run) -> str:
@@ -210,13 +274,15 @@ def _render_sft(run: _Run) -> str:
 _RENDERERS: dict[str, Callable[[_Run], str]] = {
     "retained.jsonl": lambda run: "".join(serialize_trajectory(t) + "\n" for t in run.retained()),
     "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
-    "trees.jsonl": lambda run: jsonl([tree_to_dict(r.tree) for r in run.results.values()]),
-    "scored_trees.jsonl": lambda run: jsonl(
-        [scored_tree_to_dict(r.tree, r.scores) for r in run.results.values()]
+    "trees.jsonl": lambda run: "".join(
+        head + ",".join(nodes) + "]}\n" for head, nodes in run.tree_parts
     ),
-    "pairs.jsonl": lambda run: jsonl([pair_to_dict(p) for p in run.pairs]),
+    "scored_trees.jsonl": _render_scored_trees,
+    "pairs.jsonl": lambda run: "".join(piece for part in run.pair_parts for piece in part),
     "sft.jsonl": _render_sft,
-    "dpo.jsonl": lambda run: jsonl([dpo_to_dict(e) for e in emit_dpo(run.pairs)]),
+    "dpo.jsonl": lambda run: "".join(
+        piece for head, _, context, tail in run.pair_parts for piece in (head, context, tail)
+    ),
     "stats.json": lambda run: run.with_config(
         emit_stats(run.report, [r.tree for r in run.results.values()], run.pairs)
     ),
@@ -317,14 +383,18 @@ def cmd_loss(args, config) -> int:
                     if not line.strip():
                         continue
                     obj = json.loads(line)
-                    lines_out.append(_loss_record(obj, config["sft_reduction"]))
+                    # allow_nan=False: a non-finite result is an error, never `Infinity`
+                    lines_out.append(json.dumps(
+                        _loss_record(obj, config["sft_reduction"]),
+                        ensure_ascii=False, separators=(",", ":"), allow_nan=False,
+                    ) + "\n")
                 except (
                     InputError, KeyError, TypeError, ValueError, OverflowError, RecursionError
                 ) as exc:
                     raise InputError(str(exc), line=line_no) from exc
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
-    text = jsonl(lines_out)
+    text = "".join(lines_out)
     if args.output:
         atomic_write(Path(args.output), text)
     else:

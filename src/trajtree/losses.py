@@ -65,7 +65,12 @@ def sft_loss(lp: TrajectoryLogProbs, reduction: str = SUM) -> float:
 
 
 def _delta(x: DpoInputs) -> float:
-    return x.beta * ((x.policy_chosen - x.ref_chosen) - (x.policy_rejected - x.ref_rejected))
+    delta = x.beta * ((x.policy_chosen - x.ref_chosen) - (x.policy_rejected - x.ref_rejected))
+    # finite inputs can still overflow; an infinite margin would give a loss
+    # of inf (not valid JSON) or a silent 0.0 with zero gradients
+    if not math.isfinite(delta):
+        raise InputError(f"DPO margin is not finite: {delta}")
+    return delta
 
 
 def _neg_log_sigmoid(z: float) -> float:

@@ -152,9 +152,13 @@ def parse_trajectory_stream(
             if not line.strip():
                 continue
             obj = json.loads(line)
+            if "\\u" in line:
+                # a \u escape can decode to a lone surrogate, which no UTF-8
+                # output can hold: UnicodeEncodeError
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
             out.append(_parse_record(obj, canon))
         # RecursionError: nesting deeper than the JSON decoder can follow
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, InputError) as exc:
+        except (UnicodeError, json.JSONDecodeError, RecursionError, InputError) as exc:
             if strict:
                 raise InputError(str(exc), line=line_no) from exc
             skipped += 1

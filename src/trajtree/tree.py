@@ -62,12 +62,18 @@ def build_tree(
     merged: dict[tuple, TreeNode] = {}
     divergences = 0
     next_id = 1
+    seen_ids: set[str] = set()
     for t in ts:
         if t.instance_id != instance_id:
             raise InputError(
                 f"trajectory {t.trajectory_id!r} belongs to {t.instance_id!r}, "
                 f"not {instance_id!r}"
             )
+        if t.trajectory_id in seen_ids:  # two leaves with one id: ambiguous provenance
+            raise InputError(
+                f"duplicate trajectory_id {t.trajectory_id!r} in instance {instance_id!r}"
+            )
+        seen_ids.add(t.trajectory_id)
         if t.prompt != prompt:
             raise InputError(f"prompt mismatch in instance {instance_id!r}")
         cur = root

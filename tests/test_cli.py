@@ -4,13 +4,20 @@ import os
 import stat
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trajtree import model
-from trajtree.cli import COMMAND_OUTPUTS, atomic_write, main
+from trajtree import cli, model
+from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
+from trajtree.emit import dpo_to_dict, emit_dpo
+from trajtree.ingest import group_by_instance
 from trajtree.model import serialize_trajectory
+from trajtree.pipeline import StageConfig
+from trajtree.scoring import pair_to_dict, scored_tree_to_dict
+from trajtree.tree import tree_to_dict
 
 from conftest import make_traj
 
@@ -107,6 +114,35 @@ class TestExitCodes:
         assert report["malformed_skipped"] == 1
         assert report["retained"] == 3
 
+    def test_lone_surrogate_strict_exits_2(self, tmp_path, corpus_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(corpus_path.read_bytes().replace(b'"test"', b'"a\\ud800"'))
+        code = main(["all", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_lone_surrogate_lenient_is_skipped(self, tmp_path, corpus_path):
+        bad = tmp_path / "bad.jsonl"
+        line = serialize_trajectory(make_traj("t0", [("a\ud800", None)], 1))
+        bad.write_bytes(line.encode("ascii", "backslashreplace") + b"\n" + corpus_path.read_bytes())
+        out = tmp_path / "o"
+        assert main(["all", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["malformed_skipped"] == 1
+        assert report["retained"] == 3
+
+    def test_duplicate_trajectory_id_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            serialize_trajectory(make_traj("t", [("search", "ok"), (last, None)], resolved)) + "\n"
+            for last, resolved in (("edit", 1), ("submit", 0))
+        ), encoding="utf-8")
+        for command in ("all", "tree"):
+            out = tmp_path / command
+            assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert "'t'" in err and "'inst-fix-x'" in err, command
+
 
 class TestCommandOutputs:
     @pytest.mark.parametrize("command", sorted(COMMAND_OUTPUTS))
@@ -194,6 +230,92 @@ class TestAll:
             ]) == 0
             outputs.append(read_outputs(out))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# text the JSON encoder must escape or pass through: quotes, backslashes,
+# control characters, line/paragraph separators, non-BMP and non-ASCII
+awkward_text = st.text(
+    alphabet=st.sampled_from(
+        'a /}{,:"\\\n\t\x00\x1f\x7f\u2028\u2029\u00e9\u4e2d\U0001f600'
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def awkward_corpora(draw):
+    actions = draw(st.lists(awkward_text.filter(str.strip), min_size=2, max_size=4, unique=True))
+    observations = draw(st.lists(awkward_text, min_size=1, max_size=3))
+    ts = []
+    for i in range(draw(st.integers(1, 2))):
+        instance_id, prompt = draw(awkward_text) + f"#{i}", draw(awkward_text)
+        for j in range(draw(st.integers(1, 8))):
+            steps = draw(st.lists(
+                st.tuples(st.sampled_from(actions), st.sampled_from(observations)),
+                min_size=1, max_size=4,
+            ))
+            if draw(st.booleans()):
+                steps[-1] = (steps[-1][0], None)
+            ts.append(make_traj(
+                draw(awkward_text) + f"#{j}", steps, draw(st.integers(0, 1)),
+                instance_id=instance_id, prompt=prompt,
+            ))
+    return ts
+
+
+class TestSplicedRenderers:
+    """The dataset files spliced from shared encodings equal the dict exports' bytes."""
+
+    @given(awkward_corpora(), st.sampled_from(["1/4", "1/2", "2/3"]))
+    @settings(max_examples=150, deadline=None)
+    def test_match_dict_exports(self, ts, threshold):
+        groups = group_by_instance(ts)
+        for strict_merge in (False, True):
+            for pair_mode in ("all-pairs", "max-min"):
+                stage = StageConfig(
+                    strict_merge=strict_merge,
+                    critical_threshold=Fraction(threshold),
+                    pair_mode=pair_mode,
+                )
+                run = cli._Run({}, stage, groups, None)
+                results = run.results.values()
+                expected = {
+                    "trees.jsonl": jsonl([tree_to_dict(r.tree) for r in results]),
+                    "scored_trees.jsonl": jsonl(
+                        [scored_tree_to_dict(r.tree, r.scores) for r in results]
+                    ),
+                    "pairs.jsonl": jsonl([pair_to_dict(p) for p in run.pairs]),
+                    "dpo.jsonl": jsonl([dpo_to_dict(e) for e in emit_dpo(run.pairs)]),
+                }
+                for name, text in expected.items():
+                    assert cli._RENDERERS[name](run) == text, (name, strict_merge, pair_mode)
+
+    def test_empty_corpus(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"")
+        out = tmp_path / "out"
+        assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 0
+        for name in ("trees.jsonl", "scored_trees.jsonl", "pairs.jsonl", "dpo.jsonl"):
+            assert (out / name).read_bytes() == b"", name
+
+    def test_all_encodes_each_context_once(self, tmp_path, monkeypatch):
+        synth_dir = tmp_path / "synth"
+        assert main(["synth", "--seed", "5", "--instances", "30", "--out-dir", str(synth_dir)]) == 0
+        original = cli._encode
+        contexts = 0
+
+        def counting(obj):
+            nonlocal contexts
+            if isinstance(obj, list) and obj and obj[0].get("role") == "prompt":
+                contexts += 1
+            return original(obj)
+
+        monkeypatch.setattr(cli, "_encode", counting)
+        out = tmp_path / "out"
+        assert main(["all", "--input", str(synth_dir / "corpus.jsonl"), "--out-dir", str(out)]) == 0
+        pairs = [json.loads(line) for line in (out / "pairs.jsonl").read_text().splitlines()]
+        parents = {(p["instance_id"], p["parent_node_id"]) for p in pairs}
+        assert contexts == len(parents) < len(pairs)
 
 
 class TestSynthAndSelfcheck:
@@ -291,6 +413,17 @@ class TestLossCommand:
             assert main(["loss", "--input", str(path)]) == 2, value
             captured = capsys.readouterr()
             assert captured.out == "" and "line 1" in captured.err, value
+
+    def test_overflowing_dpo_margin_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "loss_in.jsonl"
+        for sign in (1, -1):
+            path.write_text(json.dumps({
+                "kind": "dpo", "policy_chosen": -sign * 1e308, "policy_rejected": sign * 1e308,
+                "ref_chosen": sign * 1e308, "ref_rejected": -sign * 1e308, "beta": 1,
+            }) + "\n", encoding="utf-8")
+            assert main(["loss", "--input", str(path)]) == 2, sign
+            captured = capsys.readouterr()
+            assert captured.out == "" and "line 1" in captured.err, sign
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "loss_in.jsonl"

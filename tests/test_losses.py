@@ -96,6 +96,13 @@ class TestDpoLoss:
         with pytest.raises(InputError):
             dpo_loss(make_dpo(float("nan"), 0, 0, 0))
 
+    def test_overflowing_margin_rejected(self):
+        for sign in (1, -1):
+            x = make_dpo(-sign * 1e308, sign * 1e308, sign * 1e308, -sign * 1e308, beta=1.0)
+            for f in (dpo_loss, dpo_loss_grad):
+                with pytest.raises(InputError):
+                    f(x)
+
     @given(
         finite_logps, finite_logps, finite_logps, finite_logps,
         st.floats(min_value=1e-3, max_value=5.0),
