@@ -13,21 +13,22 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .emit import emit_sft, emit_stats, sft_to_dict
+from .emit import emit_sft, sft_to_dict, stats_from_paths
 from .errors import ConfigError, InputError, InvariantError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
 from .model import CanonConfig, Trajectory, parse_trajectory_stream, serialize_trajectory
-from .pipeline import InstanceResult, StageConfig, process_instances, selfcheck
-from .scoring import CriticalPair, format_rational
+from .pipeline import InstanceResult, StageConfig, process_instance, selfcheck
+from .scoring import format_rational
 from .synth import SynthConfig, generate
-from .tree import tree_to_dict
+from .tree import path_lengths, tree_to_dict
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
 
@@ -113,32 +114,58 @@ def echo_config(config: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in config.items() if k != "jobs"}
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write whole-file then rename, so failures never leave partial output.
+@contextmanager
+def output_files(out: Path, names: Iterable[str]) -> Iterator[dict[str, TextIO]]:
+    """Open a temp file per name in `out`; rename them all onto their names
+    (in order) when the block succeeds, or close and delete them all when it
+    raises, so a failed command leaves no file of its output set behind.
+    (Only a failure among the renames themselves can leave the names
+    renamed so far replaced.)
 
-    The file gets the mode a plain open() would give it (0o666 less the
+    The files get the mode a plain open() would give them (0o666 less the
     umask), not mkstemp's 0o600.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    out.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
+    temps: list[tuple[str, str]] = []
+    files: dict[str, TextIO] = {}
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
+        for name in names:
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.")
+            temps.append((name, tmp))
+            files[name] = os.fdopen(fd, "w", encoding="utf-8")
+            os.fchmod(fd, 0o666 & ~umask)
+        yield files
+        for fh in files.values():
+            fh.close()
+        for name, tmp in temps:
+            os.replace(tmp, out / name)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for fh in files.values():
+            with suppress(OSError):
+                fh.close()
+        for _, tmp in temps:
+            with suppress(OSError):
+                os.unlink(tmp)
         raise
+
+
+def atomic_write(path: Path, text: str) -> None:
+    """Write one whole file through `output_files`, so failures never leave partial output."""
+    with output_files(path.parent, (path.name,)) as files:
+        files[path.name].write(text)
 
 
 # one compact encoder for every JSON-lines file; json.dumps with keyword
 # arguments would build a new encoder per record
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# the string encoding that encoder uses (ensure_ascii=False)
+_string = json.encoder.encode_basestring
+
+
+def _nullable(text: str | None) -> str:
+    return "null" if text is None else _string(text)
 
 
 def jsonl(records: list[dict[str, Any]]) -> str:
@@ -181,40 +208,40 @@ def _load_groups(
 
 
 @dataclass
-class _Run:
-    """One dataset command's state; trees, scores and pairs are built on first use."""
+class _Instance:
+    """One instance's trajectories and, built on first use, its tree, scores and pairs.
 
-    config: dict[str, Any]
+    Every output file's lines for the instance are rendered from it; it is
+    dropped before the next instance's tree is built.
+    """
+
+    instance_id: str
+    ts: list[Trajectory]
     stage: StageConfig
-    groups: dict[str, list[Trajectory]]
-    report: IngestReport | None
-    sft_warnings: int = 0
-
-    def retained(self) -> Iterator[Trajectory]:
-        return (t for ts in self.groups.values() for t in ts)
 
     @cached_property
-    def results(self) -> dict[str, InstanceResult]:
-        return process_instances(self.groups, self.stage)
+    def result(self) -> InstanceResult:
+        return process_instance(self.instance_id, self.ts, self.stage)
 
     @cached_property
-    def pairs(self) -> list[CriticalPair]:
-        return [p for r in self.results.values() for p in r.pairs]
+    def tree_parts(self) -> tuple[str, list[str]]:
+        """The tree_to_dict record up to `"nodes":[`, and each node's JSON.
 
-    @cached_property
-    def tree_parts(self) -> list[tuple[str, list[str]]]:
-        """Per instance: its tree_to_dict record up to `"nodes":[`, and each node's JSON.
-
-        trees.jsonl and scored_trees.jsonl are spliced from these, so each
-        tree head and node is encoded once.
+        trees.jsonl and scored_trees.jsonl are spliced from these, so the
+        tree head and each node are encoded once. Node JSON is formatted
+        field by field, as the compact encoder writes it.
         """
-        parts = []
-        for r in self.results.values():
-            record = tree_to_dict(r.tree)
-            nodes = [_encode(node) for node in record["nodes"]]
-            record["nodes"] = []
-            parts.append((_encode(record)[: -len("]}")], nodes))
-        return parts
+        tree = self.result.tree
+        nodes = [
+            f'{{"node_id":{n.node_id},"kind":{_string(n.kind)}'
+            f',"action_key":{_nullable(n.action_key)},"action_raw":{_nullable(n.action_raw)}'
+            f',"observation":{_nullable(n.observation)}'
+            f',"children":[{",".join(map(str, n.children))}]'
+            f',"outcome":{"null" if n.outcome is None else n.outcome}'
+            f',"trajectory_id":{_nullable(n.trajectory_id)}}}'
+            for n in (tree.nodes[node_id] for node_id in sorted(tree.nodes))
+        ]
+        return _encode(tree_to_dict(replace(tree, nodes={})))[: -len("]}")], nodes
 
     @cached_property
     def pair_parts(self) -> list[tuple[str, str, str, str]]:
@@ -223,88 +250,124 @@ class _Run:
 
         A pairs.jsonl line joins all four; a dpo.jsonl line, the same
         record without parent_node_id, skips the second. Each distinct
-        (instance, parent) context array is encoded once and shared.
+        parent's context array is encoded once and shared.
         """
+        head = '{"instance_id":' + _string(self.instance_id)
+        contexts: dict[int, str] = {}
         parts = []
-        for r in self.results.values():
-            head = '{"instance_id":' + _encode(r.tree.instance_id)
-            contexts: dict[int, str] = {}
-            for p in r.pairs:
-                context = contexts.get(p.parent_node_id)
-                if context is None:
-                    context = ',"context":' + _encode(
-                        [{"role": s.role, "content": s.content} for s in p.context]
-                    )
-                    contexts[p.parent_node_id] = context
-                # the encoder writes a finite float as its repr()
-                tail = (
-                    f',"chosen":{_encode(p.chosen)},"rejected":{_encode(p.rejected)}'
-                    f',"score_chosen":"{format_rational(p.score_chosen)}"'
-                    f',"score_rejected":"{format_rational(p.score_rejected)}"'
-                    f',"score_chosen_decimal":{float(p.score_chosen)!r}'
-                    f',"score_rejected_decimal":{float(p.score_rejected)!r}}}\n'
+        for p in self.result.pairs:
+            context = contexts.get(p.parent_node_id)
+            if context is None:
+                context = ',"context":' + _encode(
+                    [{"role": s.role, "content": s.content} for s in p.context]
                 )
-                parts.append((head, f',"parent_node_id":{p.parent_node_id}', context, tail))
+                contexts[p.parent_node_id] = context
+            # the encoder writes a finite float as its repr()
+            tail = (
+                f',"chosen":{_string(p.chosen)},"rejected":{_string(p.rejected)}'
+                f',"score_chosen":"{format_rational(p.score_chosen)}"'
+                f',"score_rejected":"{format_rational(p.score_rejected)}"'
+                f',"score_chosen_decimal":{float(p.score_chosen)!r}'
+                f',"score_rejected_decimal":{float(p.score_rejected)!r}}}\n'
+            )
+            parts.append((head, f',"parent_node_id":{p.parent_node_id}', context, tail))
         return parts
+
+
+@dataclass
+class _Run:
+    """One dataset command's whole-corpus state: the ingest report, and the
+    summaries stats.json and the sft warning are made from."""
+
+    config: dict[str, Any]
+    report: IngestReport | None
+    paths: list[tuple[int, int, int]] = field(default_factory=list)
+    instances: int = 0
+    pair_count: int = 0
+    divergences: int = 0
+    sft_examples: int = 0
+
+    def summarize(self, result: InstanceResult) -> None:
+        self.paths.extend(path_lengths(result.tree))
+        self.instances += 1
+        self.pair_count += len(result.pairs)
+        self.divergences += result.tree.observation_divergences
 
     def with_config(self, doc: dict[str, Any]) -> str:
         doc["effective_config"] = echo_config(self.config)
         return json_doc(doc)
 
 
-def _render_scored_trees(run: _Run) -> str:
+def _scored_tree_line(run: _Run, inst: _Instance) -> str:
     """Each node's trees.jsonl JSON with scored_tree_to_dict's columns spliced in."""
-    lines = []
-    for (head, nodes), r in zip(run.tree_parts, run.results.values()):
-        scores = [r.scores[node_id] for node_id in sorted(r.tree.nodes)]
-        scored = (
-            f'{node[:-1]},"successes":{s.successes},"total":{s.total},'
-            f'"score":"{s.successes}/{s.total}"}}'
-            for node, s in zip(nodes, scores)
-        )
-        lines.append(head + ",".join(scored) + "]}\n")
-    return "".join(lines)
+    head, nodes = inst.tree_parts
+    r = inst.result
+    scored = (
+        f'{node[:-1]},"successes":{s.successes},"total":{s.total},'
+        f'"score":"{s.successes}/{s.total}"}}'
+        for node, s in zip(nodes, (r.scores[node_id] for node_id in sorted(r.tree.nodes)))
+    )
+    return head + ",".join(scored) + "]}\n"
 
 
-def _render_sft(run: _Run) -> str:
-    examples, run.sft_warnings = emit_sft(run.retained())
+def _sft_lines(run: _Run, inst: _Instance) -> str:
+    examples, _ = emit_sft(inst.ts)
+    run.sft_examples += len(examples)
     return jsonl([sft_to_dict(e) for e in examples])
 
 
-_RENDERERS: dict[str, Callable[[_Run], str]] = {
-    "retained.jsonl": lambda run: "".join(serialize_trajectory(t) + "\n" for t in run.retained()),
-    "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
-    "trees.jsonl": lambda run: "".join(
-        head + ",".join(nodes) + "]}\n" for head, nodes in run.tree_parts
+# file -> its lines for one instance; each file is these, instance by instance
+_LINES: dict[str, Callable[[_Run, _Instance], str]] = {
+    "retained.jsonl": lambda run, inst: "".join(serialize_trajectory(t) + "\n" for t in inst.ts),
+    "trees.jsonl": lambda run, inst: inst.tree_parts[0] + ",".join(inst.tree_parts[1]) + "]}\n",
+    "scored_trees.jsonl": _scored_tree_line,
+    "pairs.jsonl": lambda run, inst: "".join(
+        piece for part in inst.pair_parts for piece in part
     ),
-    "scored_trees.jsonl": _render_scored_trees,
-    "pairs.jsonl": lambda run: "".join(piece for part in run.pair_parts for piece in part),
-    "sft.jsonl": _render_sft,
-    "dpo.jsonl": lambda run: "".join(
-        piece for head, _, context, tail in run.pair_parts for piece in (head, context, tail)
-    ),
-    "stats.json": lambda run: run.with_config(
-        emit_stats(run.report, [r.tree for r in run.results.values()], run.pairs)
+    "sft.jsonl": _sft_lines,
+    "dpo.jsonl": lambda run, inst: "".join(
+        piece for head, _, context, tail in inst.pair_parts for piece in (head, context, tail)
     ),
 }
 
+# file -> the whole-corpus document written after the last instance
+_DOCS: dict[str, Callable[[_Run], str]] = {
+    "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
+    "stats.json": lambda run: run.with_config(stats_from_paths(
+        run.report, run.paths, run.instances, run.pair_count, run.divergences
+    )),
+}
+
+
+def _write_instance(run: _Run, files: dict[str, TextIO], inst: _Instance) -> None:
+    for name, fh in files.items():
+        if name in _LINES:
+            fh.write(_LINES[name](run, inst))
+    if "stats.json" in files:
+        run.summarize(inst.result)
+
 
 def cmd_pipeline(args, config) -> int:
-    """Write the command's COMMAND_OUTPUTS row in order from one parse of the input.
+    """Write the command's COMMAND_OUTPUTS row from one parse of the input.
 
     Only `ingest` and `all` clean the corpus; later stages take it as
-    retained. The ingest files are written before any tree is built.
+    retained. Instances are processed one at a time: each one's tree is
+    built only if a file needs it, and its lines are written to every file
+    before the next instance starts. The files are committed together.
     """
     names = COMMAND_OUTPUTS[args.command]
     stage = stage_config(config)
     groups, report = _load_groups(
         args.input, stage, bool(config["lenient"]), ingest="retained.jsonl" in names
     )
-    run = _Run(config, stage, groups, report)
-    out = Path(args.out_dir)
-    for name in names:
-        atomic_write(out / name, _RENDERERS[name](run))
-    if run.sft_warnings:
+    run = _Run(config, report)
+    with output_files(Path(args.out_dir), names) as files:
+        for instance_id, ts in groups.items():
+            _write_instance(run, files, _Instance(instance_id, ts, stage))
+        for name, fh in files.items():
+            if name in _DOCS:
+                fh.write(_DOCS[name](run))
+    if "sft.jsonl" in names and groups and not run.sft_examples:
         print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)
     return EXIT_OK
 

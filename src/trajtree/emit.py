@@ -12,7 +12,7 @@ from typing import Any, Iterable
 
 from .ingest import IngestReport
 from .scoring import CriticalPair, Segment, format_rational
-from .tree import TrajTree, tree_stats
+from .tree import TrajTree, path_lengths, path_stats
 from .model import Trajectory
 
 
@@ -89,9 +89,27 @@ def emit_stats(
     pairs: list[CriticalPair],
 ) -> dict[str, Any]:
     """Single statistics record: corpus counts plus ingest removal counts."""
-    stats = tree_stats(trees)
-    stats["critical_pair_count"] = len(pairs)
-    stats["observation_divergences"] = sum(t.observation_divergences for t in trees)
+    return stats_from_paths(
+        report,
+        [p for tree in trees for p in path_lengths(tree)],
+        len(trees),
+        len(pairs),
+        sum(t.observation_divergences for t in trees),
+    )
+
+
+def stats_from_paths(
+    report: IngestReport | None,
+    paths: list[tuple[int, int, int]],
+    instance_count: int,
+    pair_count: int,
+    divergences: int,
+) -> dict[str, Any]:
+    """`emit_stats` from per-instance summaries: every tree's `path_lengths`
+    and the instance, pair and observation-divergence counts."""
+    stats = path_stats(paths, instance_count)
+    stats["critical_pair_count"] = pair_count
+    stats["observation_divergences"] = divergences
     if report is not None:
         stats["ingest"] = report.to_dict()
     return stats

@@ -43,22 +43,27 @@ class InstanceResult:
     pairs: list[CriticalPair] = field(default_factory=list)
 
 
+def process_instance(instance_id: str, ts: list[Trajectory], config: StageConfig) -> InstanceResult:
+    """Tree, scores and pairs of one instance."""
+    tree = build_tree(
+        instance_id, ts[0].prompt, ts, canon=config.canon, strict_merge=config.strict_merge
+    )
+    scores = score_nodes(tree)
+    triples = identify_critical_actions(
+        tree, scores, threshold=config.critical_threshold, pair_mode=config.pair_mode
+    )
+    pairs = extract_critical_pairs(tree, triples, scores, canon=config.canon)
+    return InstanceResult(tree=tree, scores=scores, pairs=pairs)
+
+
 def process_instances(
     groups: dict[str, list[Trajectory]], config: StageConfig
 ) -> dict[str, InstanceResult]:
-    """Tree + scores + pairs per instance, in the groups' key order."""
-    results = {}
-    for instance_id, ts in groups.items():
-        tree = build_tree(
-            instance_id, ts[0].prompt, ts, canon=config.canon, strict_merge=config.strict_merge
-        )
-        scores = score_nodes(tree)
-        triples = identify_critical_actions(
-            tree, scores, threshold=config.critical_threshold, pair_mode=config.pair_mode
-        )
-        pairs = extract_critical_pairs(tree, triples, scores, canon=config.canon)
-        results[instance_id] = InstanceResult(tree=tree, scores=scores, pairs=pairs)
-    return results
+    """`process_instance` per instance, in the groups' key order."""
+    return {
+        instance_id: process_instance(instance_id, ts, config)
+        for instance_id, ts in groups.items()
+    }
 
 
 def node_prefix_scores(

@@ -153,10 +153,10 @@ def iter_path_nodes(tree: TrajTree, node_id: int) -> Iterator[TreeNode]:
     yield from reversed(path)
 
 
-def _path_char_len(tree: TrajTree, prompt: str) -> list[tuple[int, int, int]]:
+def path_lengths(tree: TrajTree) -> list[tuple[int, int, int]]:
     """(char length, step count, outcome) per root-to-leaf path."""
     out = []
-    stack: list[tuple[int, int, int]] = [(tree.root_id, len(prompt), 0)]
+    stack: list[tuple[int, int, int]] = [(tree.root_id, len(tree.prompt), 0)]
     while stack:
         node_id, chars, depth = stack.pop()
         node = tree.nodes[node_id]
@@ -172,21 +172,19 @@ def _path_char_len(tree: TrajTree, prompt: str) -> list[tuple[int, int, int]]:
     return out
 
 
-def tree_stats(trees: list[TrajTree]) -> dict[str, Any]:
-    """Corpus statistics: counts, approximate token length, average path length.
+def path_stats(paths: list[tuple[int, int, int]], instance_count: int) -> dict[str, Any]:
+    """Corpus statistics from every tree's `path_lengths`: counts, approximate
+    token length, average path length.
 
     Token length is approximated as characters / 4 so no tokenizer is
     required; the exact character average is reported alongside.
     """
-    paths: list[tuple[int, int, int]] = []
-    for tree in trees:
-        paths.extend(_path_char_len(tree, tree.prompt))
     n = len(paths)
     successful = sum(1 for _, _, outcome in paths if outcome == 1)
     avg_chars = sum(chars for chars, _, _ in paths) / n if n else 0.0
     avg_steps = sum(steps for _, steps, _ in paths) / n if n else 0.0
     return {
-        "instance_count": len(trees),
+        "instance_count": instance_count,
         "trajectory_count": n,
         "successful_count": successful,
         "wrong_count": n - successful,
@@ -195,6 +193,11 @@ def tree_stats(trees: list[TrajTree]) -> dict[str, Any]:
         "avg_path_len": avg_steps,
         "critical_pair_count": None,  # joined in by the emission stage
     }
+
+
+def tree_stats(trees: list[TrajTree]) -> dict[str, Any]:
+    """`path_stats` over the trees' paths."""
+    return path_stats([p for tree in trees for p in path_lengths(tree)], len(trees))
 
 
 def tree_to_dict(tree: TrajTree) -> dict[str, Any]:

@@ -1,8 +1,10 @@
+import gc
 import io
 import json
 import os
 import stat
 import sys
+import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -10,12 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajtree import cli, model
+from trajtree import cli, model, pipeline
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
 from trajtree.emit import dpo_to_dict, emit_dpo
 from trajtree.ingest import group_by_instance
 from trajtree.model import serialize_trajectory
-from trajtree.pipeline import StageConfig
+from trajtree.pipeline import StageConfig, process_instances
 from trajtree.scoring import pair_to_dict, scored_tree_to_dict
 from trajtree.tree import tree_to_dict
 
@@ -264,7 +266,8 @@ def awkward_corpora(draw):
 
 
 class TestSplicedRenderers:
-    """The dataset files spliced from shared encodings equal the dict exports' bytes."""
+    """The dataset files, spliced per instance from shared encodings, equal the
+    dict exports' bytes."""
 
     @given(awkward_corpora(), st.sampled_from(["1/4", "1/2", "2/3"]))
     @settings(max_examples=150, deadline=None)
@@ -277,18 +280,25 @@ class TestSplicedRenderers:
                     critical_threshold=Fraction(threshold),
                     pair_mode=pair_mode,
                 )
-                run = cli._Run({}, stage, groups, None)
-                results = run.results.values()
+                results = process_instances(groups, stage).values()
+                pairs = [p for r in results for p in r.pairs]
                 expected = {
                     "trees.jsonl": jsonl([tree_to_dict(r.tree) for r in results]),
                     "scored_trees.jsonl": jsonl(
                         [scored_tree_to_dict(r.tree, r.scores) for r in results]
                     ),
-                    "pairs.jsonl": jsonl([pair_to_dict(p) for p in run.pairs]),
-                    "dpo.jsonl": jsonl([dpo_to_dict(e) for e in emit_dpo(run.pairs)]),
+                    "pairs.jsonl": jsonl([pair_to_dict(p) for p in pairs]),
+                    "dpo.jsonl": jsonl([dpo_to_dict(e) for e in emit_dpo(pairs)]),
                 }
+                # as the CLI does: every file's lines from one _Instance per instance
+                run = cli._Run({}, None)
+                got = dict.fromkeys(expected, "")
+                for instance_id, instance_ts in groups.items():
+                    inst = cli._Instance(instance_id, instance_ts, stage)
+                    for name in expected:
+                        got[name] += cli._LINES[name](run, inst)
                 for name, text in expected.items():
-                    assert cli._RENDERERS[name](run) == text, (name, strict_merge, pair_mode)
+                    assert got[name] == text, (name, strict_merge, pair_mode)
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -440,6 +450,50 @@ class TestNoPartialOutput:
         out = tmp_path / "out"
         assert main(["all", "--input", str(bad), "--out-dir", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    def test_failure_mid_stream_commits_no_file(self, tmp_path):
+        # instance a is valid; instance b, after it, repeats trajectory id t
+        lines = [
+            make_traj(tid, [("search", "ok"), (last, None)], resolved, instance_id=instance_id)
+            for instance_id, tid, last, resolved in (
+                ("a", "t1", "edit", 1), ("a", "t2", "submit", 0),
+                ("b", "t", "edit", 1), ("b", "t", "submit", 0),
+            )
+        ]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(serialize_trajectory(t) + "\n" for t in lines), encoding="utf-8")
+        good = tmp_path / "good.jsonl"
+        good.write_text("".join(serialize_trajectory(t) + "\n" for t in lines[:2]), encoding="utf-8")
+        fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+        assert main(["all", "--input", str(good), "--out-dir", str(kept)]) == 0
+        before = read_outputs(kept)
+        assert sorted(before) == sorted(COMMAND_OUTPUTS["all"])
+        for out in (fresh, kept):
+            assert main(["all", "--input", str(bad), "--out-dir", str(out)]) == 2
+        assert list(fresh.iterdir()) == []
+        assert read_outputs(kept) == before
+
+
+class TestStreaming:
+    def test_one_tree_alive_at_a_time(self, tmp_path, monkeypatch):
+        synth_dir = tmp_path / "synth"
+        assert main(["synth", "--seed", "5", "--instances", "8", "--out-dir", str(synth_dir)]) == 0
+        original = pipeline.build_tree
+        trees: list[weakref.ref] = []
+        alive: list[int] = []
+
+        def tracking(*args, **kwargs):
+            tree = original(*args, **kwargs)
+            trees.append(weakref.ref(tree))
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in trees))
+            return tree
+
+        monkeypatch.setattr(pipeline, "build_tree", tracking)
+        out = tmp_path / "out"
+        assert main(["all", "--input", str(synth_dir / "corpus.jsonl"), "--out-dir", str(out)]) == 0
+        assert len(alive) == len((out / "trees.jsonl").read_text().splitlines()) > 1
+        assert max(alive) == 1
 
 
 class TestOutputMode:
