@@ -22,9 +22,15 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .emit import emit_sft, sft_to_dict, stats_from_paths
 from .errors import ConfigError, InputError, InvariantError
-from .ingest import IngestReport, group_by_instance, ingest_trajectories
+from .ingest import IngestReport, group_by_instance, ingest_pipeline, ingest_trajectories
 from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
-from .model import CanonConfig, Trajectory, parse_trajectory_stream, serialize_trajectory
+from .model import (
+    CanonConfig,
+    Trajectory,
+    iter_trajectories,
+    parse_trajectory_stream,
+    serialize_trajectory,
+)
 from .pipeline import InstanceResult, StageConfig, process_instance, selfcheck
 from .scoring import format_rational
 from .synth import SynthConfig, generate
@@ -58,7 +64,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
         try:
             with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: not UTF-8 (UnicodeDecodeError) or not JSON (JSONDecodeError)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -78,12 +85,16 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError(f"pair_mode must be all-pairs or max-min: {config['pair_mode']!r}")
     if config["sft_reduction"] not in ("sum", "mean"):
         raise ConfigError(f"sft_reduction must be sum or mean: {config['sft_reduction']!r}")
-    for key, minimum in (("loop_threshold", 2), ("outlier_min_prefix", 1), ("jobs", 1)):
-        try:
-            value = int(config[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{key} must be an integer: {config[key]!r}") from exc
-        if value < minimum:
+    for key in ("collapse_whitespace", "lenient"):
+        if not isinstance(config[key], bool):
+            raise ConfigError(f"{key} must be true or false: {config[key]!r}")
+    integers = (("loop_threshold", 2), ("outlier_min_prefix", 1), ("jobs", 1), ("seed", None))
+    for key, minimum in integers:
+        value = config[key]
+        # JSON integers only: 3.9, "3" and true are not
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer: {value!r}")
+        if minimum is not None and value < minimum:
             raise ConfigError(f"{key} must be >= {minimum}")
     threshold = parse_threshold(config["critical_threshold"])
     if not (0 < threshold < 1):
@@ -99,9 +110,9 @@ def parse_threshold(value: Any) -> Fraction:
 
 def stage_config(config: dict[str, Any]) -> StageConfig:
     return StageConfig(
-        canon=CanonConfig(collapse_whitespace=bool(config["collapse_whitespace"])),
-        loop_threshold=int(config["loop_threshold"]),
-        outlier_min_prefix=int(config["outlier_min_prefix"]),
+        canon=CanonConfig(collapse_whitespace=config["collapse_whitespace"]),
+        loop_threshold=config["loop_threshold"],
+        outlier_min_prefix=config["outlier_min_prefix"],
         strict_merge=config["merge_mode"] == "strict",
         critical_threshold=parse_threshold(config["critical_threshold"]),
         pair_mode=config["pair_mode"],
@@ -189,24 +200,6 @@ COMMAND_OUTPUTS: dict[str, tuple[str, ...]] = {
 COMMAND_OUTPUTS["all"] = tuple(name for row in COMMAND_OUTPUTS.values() for name in row)
 
 
-def _load_groups(
-    path: str, stage: StageConfig, lenient: bool, ingest: bool
-) -> tuple[dict[str, list[Trajectory]], IngestReport | None]:
-    """Parse the corpus, then clean it (ingest) or only group it (later stages)."""
-    try:
-        with open(path, "rb") as fh:
-            ts, skipped = parse_trajectory_stream(fh, strict=not lenient, canon=stage.canon)
-    except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}") from exc
-    if not ingest:
-        return group_by_instance(ts), None
-    groups, report = ingest_trajectories(
-        ts, stage.loop_threshold, stage.outlier_min_prefix, stage.canon
-    )
-    report.malformed_skipped = skipped
-    return groups, report
-
-
 @dataclass
 class _Instance:
     """One instance's trajectories and, built on first use, its tree, scores and pairs.
@@ -289,7 +282,6 @@ class _Run:
 
     def summarize(self, result: InstanceResult) -> None:
         self.paths.extend(path_lengths(result.tree))
-        self.instances += 1
         self.pair_count += len(result.pairs)
         self.divergences += result.tree.observation_divergences
 
@@ -343,38 +335,126 @@ def _write_instance(run: _Run, files: dict[str, TextIO], inst: _Instance) -> Non
     for name, fh in files.items():
         if name in _LINES:
             fh.write(_LINES[name](run, inst))
+    run.instances += 1
     if "stats.json" in files:
         run.summarize(inst.result)
 
 
+class _Restart(Exception):
+    """The streamed pass cannot show that it writes what the whole-corpus pass
+    would: an instance id came back, or a run failed."""
+
+
+def _write_run(
+    run: _Run, files: dict[str, TextIO], ts: list[Trajectory], stage: StageConfig
+) -> None:
+    """Clean (ingest) or group one instance's contiguous run, and write it."""
+    try:
+        if run.report is None:
+            groups = group_by_instance(ts)
+        else:
+            groups, report = ingest_trajectories(
+                ts, stage.loop_threshold, stage.outlier_min_prefix, stage.canon
+            )
+            run.report.add(report)
+        for instance_id, group in groups.items():
+            _write_instance(run, files, _Instance(instance_id, group, stage))
+    except (InputError, InvariantError) as exc:
+        # the whole-corpus pass raises what it would: a later malformed
+        # line or prompt conflict takes precedence over this run's error
+        raise _Restart from exc
+
+
+def _write_streamed(
+    run: _Run, files: dict[str, TextIO], lines: Iterable[bytes], stage: StageConfig, strict: bool
+) -> None:
+    """Write each contiguous run of one instance_id as soon as the next begins.
+
+    Every ingest rule looks within one instance (the dedup key holds the
+    instance_id), so a run cleans as it would in the whole corpus. Only
+    the run being written, and the line that ended it, are alive.
+    """
+    written: set[str] = set()
+    ts: list[Trajectory] = []
+    skipped = 0
+    for t in iter_trajectories(lines, strict, stage.canon):
+        if t is None:
+            skipped += 1
+            continue
+        if ts and t.instance_id != ts[0].instance_id:
+            written.add(ts[0].instance_id)
+            _write_run(run, files, ts, stage)
+            ts = []
+        if t.instance_id in written:
+            raise _Restart  # instance order would differ
+        ts.append(t)
+    if ts:
+        _write_run(run, files, ts, stage)
+    if run.report is not None:
+        run.report.malformed_skipped = skipped
+
+
+def _write_whole(
+    run: _Run, files: dict[str, TextIO], lines: Iterable[bytes], stage: StageConfig, strict: bool
+) -> None:
+    """Parse and clean (ingest) or group the whole corpus, then write it."""
+    if run.report is None:
+        ts, _ = parse_trajectory_stream(lines, strict, stage.canon)
+        groups = group_by_instance(ts)
+    else:
+        groups, run.report = ingest_pipeline(
+            lines, stage.loop_threshold, stage.outlier_min_prefix, stage.canon, strict
+        )
+    for instance_id, ts in groups.items():
+        _write_instance(run, files, _Instance(instance_id, ts, stage))
+
+
 def cmd_pipeline(args, config) -> int:
-    """Write the command's COMMAND_OUTPUTS row from one parse of the input.
+    """Write the command's COMMAND_OUTPUTS row, one instance at a time.
 
     Only `ingest` and `all` clean the corpus; later stages take it as
-    retained. Instances are processed one at a time: each one's tree is
-    built only if a file needs it, and its lines are written to every file
-    before the next instance starts. The files are committed together.
+    retained. Each contiguous run of one instance's lines is cleaned,
+    and each instance's tree is built only if a file needs it and written
+    to every file, before the next run is read. If an instance id comes
+    back after another instance began, or a run fails, the files are
+    dropped and the whole corpus is parsed first, then written (as is an
+    input that cannot be read twice). The files are committed together.
     """
     names = COMMAND_OUTPUTS[args.command]
     stage = stage_config(config)
-    groups, report = _load_groups(
-        args.input, stage, bool(config["lenient"]), ingest="retained.jsonl" in names
-    )
-    run = _Run(config, report)
-    with output_files(Path(args.out_dir), names) as files:
-        for instance_id, ts in groups.items():
-            _write_instance(run, files, _Instance(instance_id, ts, stage))
-        for name, fh in files.items():
-            if name in _DOCS:
-                fh.write(_DOCS[name](run))
-    if "sft.jsonl" in names and groups and not run.sft_examples:
+    strict = not config["lenient"]
+    ingest = "retained.jsonl" in names
+    try:
+        fh = open(args.input, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot read corpus {args.input}: {exc}") from exc
+
+    def attempt(write: Callable[..., None]) -> _Run:
+        run = _Run(config, IngestReport() if ingest else None)
+        with output_files(Path(args.out_dir), names) as files:
+            write(run, files, fh, stage, strict)
+            for name, doc in files.items():
+                if name in _DOCS:
+                    doc.write(_DOCS[name](run))
+        return run
+
+    with fh:
+        run = None
+        if fh.seekable():
+            try:
+                run = attempt(_write_streamed)
+            except _Restart:
+                fh.seek(0)
+        if run is None:
+            run = attempt(_write_whole)
+    if "sft.jsonl" in names and run.instances and not run.sft_examples:
         print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)
     return EXIT_OK
 
 
 def _synth_config(args, config) -> SynthConfig:
     return SynthConfig(
-        seed=args.seed if args.seed is not None else int(config["seed"]),
+        seed=config["seed"],
         instances=args.instances,
         branching=args.branching,
         depth=args.depth,
@@ -451,8 +531,10 @@ def cmd_loss(args, config) -> int:
                         _loss_record(obj, config["sft_reduction"]),
                         ensure_ascii=False, separators=(",", ":"), allow_nan=False,
                     ) + "\n")
+                # ConfigError: the record's own beta or reduction is invalid
                 except (
-                    InputError, KeyError, TypeError, ValueError, OverflowError, RecursionError
+                    ConfigError, InputError, KeyError, TypeError, ValueError, OverflowError,
+                    RecursionError,
                 ) as exc:
                     raise InputError(str(exc), line=line_no) from exc
     except OSError as exc:
@@ -526,6 +608,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except OSError as exc:  # an out dir or output file that cannot be made or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

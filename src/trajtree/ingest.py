@@ -38,6 +38,16 @@ class IngestReport:
             "per_instance_retained": dict(self.per_instance_retained),
         }
 
+    def add(self, other: IngestReport) -> None:
+        """Fold in the report of a later part of the corpus that shares no instance."""
+        self.input_count += other.input_count
+        self.duplicates_removed += other.duplicates_removed
+        self.loops_removed += other.loops_removed
+        self.outliers_removed += other.outliers_removed
+        self.retained += other.retained
+        self.malformed_skipped += other.malformed_skipped
+        self.per_instance_retained.update(other.per_instance_retained)
+
 
 def deduplicate(
     ts: list[Trajectory], canon: CanonConfig = CanonConfig()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable
+from typing import IO, Any, Iterable, Iterator
 
 from .errors import InputError
 
@@ -130,21 +130,19 @@ def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
     return t
 
 
-def parse_trajectory_stream(
+def iter_trajectories(
     source: IO[bytes] | IO[str] | Iterable[str],
     strict: bool = True,
     canon: CanonConfig = CanonConfig(),
-) -> tuple[list[Trajectory], int]:
-    """Parse a line-delimited corpus, preserving input order.
+) -> Iterator[Trajectory | None]:
+    """Parse a line-delimited corpus lazily, one line per step, in input order.
 
-    Returns (trajectories, skipped_count). In strict mode the first
-    malformed line raises InputError with its line number; in lenient
-    mode malformed lines are counted and skipped. Each trajectory's
-    action_keys for `canon` are filled from the parse's own
+    Yields each parsed trajectory, and None for each malformed line that
+    lenient mode skips; in strict mode the first malformed line raises
+    InputError with its line number. Blank lines yield nothing. Each
+    trajectory's action_keys for `canon` are filled from the parse's own
     canonicalization, so later stages never canonicalize again.
     """
-    out: list[Trajectory] = []
-    skipped = 0
     for line_no, line in enumerate(source, start=1):
         try:
             if isinstance(line, bytes):
@@ -156,12 +154,28 @@ def parse_trajectory_stream(
                 # a \u escape can decode to a lone surrogate, which no UTF-8
                 # output can hold: UnicodeEncodeError
                 json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            out.append(_parse_record(obj, canon))
+            t = _parse_record(obj, canon)
         # RecursionError: nesting deeper than the JSON decoder can follow
         except (UnicodeError, json.JSONDecodeError, RecursionError, InputError) as exc:
             if strict:
                 raise InputError(str(exc), line=line_no) from exc
+            t = None
+        yield t
+
+
+def parse_trajectory_stream(
+    source: IO[bytes] | IO[str] | Iterable[str],
+    strict: bool = True,
+    canon: CanonConfig = CanonConfig(),
+) -> tuple[list[Trajectory], int]:
+    """The whole corpus from `iter_trajectories`: (trajectories, skipped_count)."""
+    out: list[Trajectory] = []
+    skipped = 0
+    for t in iter_trajectories(source, strict, canon):
+        if t is None:
             skipped += 1
+        else:
+            out.append(t)
     return out, skipped
 
 

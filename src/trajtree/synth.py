@@ -57,7 +57,6 @@ def _attach_observations(
     actions: list[str],
     resolved: int,
     prompt: str,
-    rng: random.Random,
     divergent: bool,
     omit_final_obs: bool,
 ) -> Trajectory:
@@ -150,7 +149,6 @@ def _generate_instance(
                 actions,
                 resolved,
                 prompt,
-                rng,
                 config.divergent_observations,
                 omit_final,
             )

@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import sys
+import threading
 import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from trajtree import cli, model, pipeline
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
 from trajtree.emit import dpo_to_dict, emit_dpo
-from trajtree.ingest import group_by_instance
+from trajtree.ingest import group_by_instance, ingest_pipeline
 from trajtree.model import serialize_trajectory
 from trajtree.pipeline import StageConfig, process_instances
 from trajtree.scoring import pair_to_dict, scored_tree_to_dict
@@ -62,6 +63,16 @@ class TestExitCodes:
             ('{"jobs": "x"}', []),
             ('{"jobs": null}', []),
             ('{"critical_threshold": Infinity}', []),
+            # booleans must be JSON booleans, integers JSON integers (not booleans)
+            ('{"lenient": "false"}', []),
+            ('{"collapse_whitespace": "no"}', []),
+            ('{"collapse_whitespace": 1}', []),
+            ('{"loop_threshold": 3.9}', []),
+            ('{"loop_threshold": "4"}', []),
+            ('{"outlier_min_prefix": true}', []),
+            ('{"jobs": true}', []),
+            ('{"seed": 1.5}', []),
+            ('{"seed": "1"}', []),
         ]
         for config_text, flags in cases:
             config_args = []
@@ -74,6 +85,30 @@ class TestExitCodes:
                 *flags,
             ])
             assert code == 1, (config_text, flags)
+            assert capsys.readouterr().err.startswith("error: "), (config_text, flags)
+
+    def test_config_not_utf8_exits_1(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"jobs": 1, "seed": "\xff"}')
+        code = main([
+            "--config", str(cfg),
+            "ingest", "--input", str(corpus_path), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config")
+
+    def test_out_dir_is_a_file_exits_1(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("keep\n", encoding="utf-8")
+        assert main(["all", "--input", str(corpus_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
+    def test_out_dir_under_a_file_exits_1(self, corpus_path, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        assert main(["all", "--input", str(corpus_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_config_key_in_file(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -398,7 +433,14 @@ class TestLossCommand:
     def test_bad_record_exits_2(self, tmp_path, capsys):
         path = tmp_path / "loss_in.jsonl"
         good = '{"kind": "sft", "action_logps": [-1.0]}\n'
-        for bad in ('{"kind": "nope"}\n', "[1]\n"):
+        dpo = '{"kind": "dpo", "policy_chosen": -1, "policy_rejected": -2, "ref_chosen": -1,'
+        for bad in (
+            '{"kind": "nope"}\n',
+            "[1]\n",
+            dpo + ' "ref_rejected": -2, "beta": 0}\n',
+            dpo + ' "ref_rejected": -2, "beta": -0.5}\n',
+            '{"kind": "sft", "action_logps": [-1.0], "reduction": "max"}\n',
+        ):
             path.write_text(good + bad, encoding="utf-8")
             assert main(["loss", "--input", str(path)]) == 2, bad
             assert "line 2" in capsys.readouterr().err, bad
@@ -494,6 +536,149 @@ class TestStreaming:
         assert main(["all", "--input", str(synth_dir / "corpus.jsonl"), "--out-dir", str(out)]) == 0
         assert len(alive) == len((out / "trees.jsonl").read_text().splitlines()) > 1
         assert max(alive) == 1
+
+
+    def test_only_the_current_instance_is_alive(self, tmp_path, monkeypatch):
+        synth_dir = tmp_path / "synth"
+        assert main(["synth", "--seed", "5", "--instances", "8", "--out-dir", str(synth_dir)]) == 0
+        corpus = synth_dir / "corpus.jsonl"
+        parsed: list[weakref.ref] = []
+        original_parse, original_build = model._parse_record, pipeline.build_tree
+
+        def parsing(*args, **kwargs):
+            t = original_parse(*args, **kwargs)
+            parsed.append(weakref.ref(t))
+            return t
+
+        next_first: dict[str, str] = {}  # instance -> the next instance's first trajectory id
+        lines = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for prev, cur in zip(lines, lines[1:]):
+            if prev["instance_id"] != cur["instance_id"]:
+                next_first[prev["instance_id"]] = cur["trajectory_id"]
+        others: list[set[str]] = []
+
+        def building(instance_id, *args, **kwargs):
+            gc.collect()
+            alive = [t for t in (ref() for ref in parsed) if t is not None]
+            assert any(t.instance_id == instance_id for t in alive)
+            others.append({t.trajectory_id for t in alive if t.instance_id != instance_id})
+            # the line that ended the previous run may be alive, nothing else
+            assert others[-1] <= {next_first.get(instance_id)}, (instance_id, others[-1])
+            return original_build(instance_id, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_parse_record", parsing)
+        monkeypatch.setattr(pipeline, "build_tree", building)
+        out = tmp_path / "out"
+        assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 0
+        assert len(others) == len((out / "trees.jsonl").read_text().splitlines()) == 8
+
+
+def _write_corpus(path: Path, records: list) -> Path:
+    """One line per record: a Trajectory is serialized, a string written as is."""
+    path.write_text("".join(
+        (r if isinstance(r, str) else serialize_trajectory(r)) + "\n" for r in records
+    ), encoding="utf-8")
+    return path
+
+
+def _traj(instance_id, trajectory_id, actions, resolved=0):
+    steps = [(a, "ok") for a in actions[:-1]] + [(actions[-1], None)]
+    return make_traj(trajectory_id, steps, resolved, instance_id=instance_id)
+
+
+def _interleaved(tmp_path: Path) -> Path:
+    """A/a1 (a loop), B/b1, A/a2, B/b2, A/a3: ingest drops a1, so B comes first."""
+    return _write_corpus(tmp_path / "interleaved.jsonl", [
+        _traj("A", "a1", ["x", "x", "x"]),
+        _traj("B", "b1", ["look", "fix"], 1),
+        _traj("A", "a2", ["look", "fix"], 1),
+        _traj("B", "b2", ["look", "quit"]),
+        _traj("A", "a3", ["look", "quit"]),
+    ])
+
+
+class TestStreamedFallback:
+    def test_interleaved_corpus_keeps_instance_order(self, tmp_path):
+        corpus = _interleaved(tmp_path)
+        with open(corpus, "rb") as fh:
+            groups, _ = ingest_pipeline(fh)
+        assert list(groups) == ["B", "A"]
+        out = tmp_path / "out"
+        assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 0
+        for name in ("retained.jsonl", "trees.jsonl"):
+            lines = (out / name).read_text(encoding="utf-8").splitlines()
+            order = list(dict.fromkeys(json.loads(line)["instance_id"] for line in lines))
+            assert order == list(groups), name
+        retained = (out / "retained.jsonl").read_text(encoding="utf-8")
+        assert retained == "".join(
+            serialize_trajectory(t) + "\n" for ts in groups.values() for t in ts
+        )
+
+    def test_unseekable_input_reads_once(self, tmp_path):
+        corpus = _interleaved(tmp_path)
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),), daemon=True)
+        writer.start()
+        assert main(["all", "--input", str(fifo), "--out-dir", str(tmp_path / "fifo")]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert main(["all", "--input", str(corpus), "--out-dir", str(tmp_path / "file")]) == 0
+        assert read_outputs(tmp_path / "fifo") == read_outputs(tmp_path / "file")
+
+    def test_malformed_last_line_outranks_an_earlier_failing_instance(self, tmp_path, capsys):
+        # instance A repeats trajectory id t; the last line is not JSON
+        corpus = _write_corpus(tmp_path / "corpus.jsonl", [
+            make_traj("t", [("search", "ok"), ("edit", None)], 1, instance_id="A"),
+            make_traj("t", [("search", "ok"), ("submit", None)], 0, instance_id="A"),
+            make_traj("u", [("search", None)], 1, instance_id="B"),
+            "not json",
+        ])
+        for command in ("all", "tree"):
+            out = tmp_path / command
+            assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
+            assert "line 4" in capsys.readouterr().err, command
+            assert not out.exists() or list(out.iterdir()) == [], command
+
+    def test_prompt_conflict_outranks_an_earlier_duplicate_id(self, tmp_path, capsys):
+        corpus = _write_corpus(tmp_path / "corpus.jsonl", [
+            make_traj("t", [("search", "ok"), ("edit", None)], 1, instance_id="A"),
+            make_traj("t", [("search", "ok"), ("submit", None)], 0, instance_id="A"),
+            make_traj("u1", [("search", None)], 1, instance_id="B", prompt="one"),
+            make_traj("u2", [("edit", None)], 0, instance_id="B", prompt="two"),
+        ])
+        for command in ("all", "tree"):
+            out = tmp_path / command
+            assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert "conflicting prompts" in err and "'B'" in err, command
+
+    def test_lenient_report_matches_ingest_pipeline(self, tmp_path):
+        corpus = _write_corpus(tmp_path / "corpus.jsonl", [
+            "not json",
+            _traj("A", "a1", ["look", "fix"], 1),
+            _traj("A", "a2", ["look", "fix"], 1),  # a duplicate
+            "[1]",
+            _traj("A", "a3", ["look", "y", "y", "y"]),  # a loop
+            _traj("A", "a4", ["away"]),  # an outlier
+            _traj("A", "a5", ["look", "quit"]),
+            '{"instance_id": "A"}',
+            _traj("B", "b1", ["z", "z", "z"]),  # a loop: B retains nothing
+            "\x00",
+            _traj("C", "c1", ["look"], 1),
+            _traj("C", "c2", ["look", "more"]),
+            "{",
+        ])
+        with open(corpus, "rb") as fh:
+            _, expected = ingest_pipeline(fh, strict=False)
+        assert expected.malformed_skipped == 5 and expected.loops_removed == 2
+        for command in ("ingest", "all"):
+            out = tmp_path / command
+            assert main([command, "--input", str(corpus), "--out-dir", str(out), "--lenient"]) == 0
+            report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+            assert report.pop("effective_config")["lenient"] is True
+            assert report == expected.to_dict(), command
+            assert list(report["per_instance_retained"]) == ["A", "C"], command
 
 
 class TestOutputMode:
