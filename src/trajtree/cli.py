@@ -9,12 +9,13 @@ violation.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -22,15 +23,9 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .emit import emit_sft, sft_to_dict, stats_from_paths
 from .errors import ConfigError, InputError, InvariantError
-from .ingest import IngestReport, group_by_instance, ingest_pipeline, ingest_trajectories
+from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
-from .model import (
-    CanonConfig,
-    Trajectory,
-    iter_trajectories,
-    parse_trajectory_stream,
-    serialize_trajectory,
-)
+from .model import CanonConfig, Trajectory, iter_trajectories, serialize_trajectory
 from .pipeline import InstanceResult, StageConfig, process_instance, selfcheck
 from .scoring import format_rational
 from .synth import SynthConfig, generate
@@ -99,6 +94,8 @@ def _validate_config(config: dict[str, Any]) -> None:
     threshold = parse_threshold(config["critical_threshold"])
     if not (0 < threshold < 1):
         raise ConfigError(f"critical_threshold must be in (0, 1): {threshold}")
+    # equal thresholds echo the same bytes: "2/4", 0.5 and "1/2" as "1/2"
+    config["critical_threshold"] = format_rational(threshold)
 
 
 def parse_threshold(value: Any) -> Fraction:
@@ -130,6 +127,7 @@ def output_files(out: Path, names: Iterable[str]) -> Iterator[dict[str, TextIO]]
     """Open a temp file per name in `out`; rename them all onto their names
     (in order) when the block succeeds, or close and delete them all when it
     raises, so a failed command leaves no file of its output set behind.
+    A name that is a directory fails the block before the first rename.
     (Only a failure among the renames themselves can leave the names
     renamed so far replaced.)
 
@@ -150,6 +148,9 @@ def output_files(out: Path, names: Iterable[str]) -> Iterator[dict[str, TextIO]]
         yield files
         for fh in files.values():
             fh.close()
+        for name, _ in temps:  # os.replace would fail here, after the earlier renames
+            if (out / name).is_dir() and not (out / name).is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
         for name, tmp in temps:
             os.replace(tmp, out / name)
     except BaseException:
@@ -342,14 +343,43 @@ def _write_instance(run: _Run, files: dict[str, TextIO], inst: _Instance) -> Non
 
 class _Restart(Exception):
     """The streamed pass cannot show that it writes what the whole-corpus pass
-    would: an instance id came back, or a run failed."""
+    would: an instance id came back."""
 
 
-def _write_run(
-    run: _Run, files: dict[str, TextIO], ts: list[Trajectory], stage: StageConfig
+def _runs(
+    run: _Run, lines: Iterable[bytes], strict: bool, canon: CanonConfig, streamed: bool
+) -> Iterator[list[Trajectory]]:
+    """The corpus's trajectories as contiguous runs of one instance_id, each
+    yielded as soon as the next begins, or (not `streamed`) as one run.
+
+    Lenient skips are counted into the ingest report. Every ingest rule
+    looks within one instance (the dedup key holds the instance_id), so a
+    run cleans as it would in the whole corpus. While a run is written,
+    only it and the line that ended it are alive.
+    """
+    written: set[str] = set()
+    ts: list[Trajectory] = []
+    for t in iter_trajectories(lines, strict, canon):
+        if t is None:
+            if run.report is not None:
+                run.report.malformed_skipped += 1
+            continue
+        if streamed and ts and t.instance_id != ts[0].instance_id:
+            written.add(ts[0].instance_id)
+            yield ts
+            ts = []
+        if t.instance_id in written:
+            raise _Restart  # instance order would differ
+        ts.append(t)
+    if ts:
+        yield ts
+
+
+def _write(
+    run: _Run, files: dict[str, TextIO], runs: Iterable[list[Trajectory]], stage: StageConfig
 ) -> None:
-    """Clean (ingest) or group one instance's contiguous run, and write it."""
-    try:
+    """Clean (ingest) or group each run, and write its instances."""
+    for ts in runs:
         if run.report is None:
             groups = group_by_instance(ts)
         else:
@@ -359,54 +389,6 @@ def _write_run(
             run.report.add(report)
         for instance_id, group in groups.items():
             _write_instance(run, files, _Instance(instance_id, group, stage))
-    except (InputError, InvariantError) as exc:
-        # the whole-corpus pass raises what it would: a later malformed
-        # line or prompt conflict takes precedence over this run's error
-        raise _Restart from exc
-
-
-def _write_streamed(
-    run: _Run, files: dict[str, TextIO], lines: Iterable[bytes], stage: StageConfig, strict: bool
-) -> None:
-    """Write each contiguous run of one instance_id as soon as the next begins.
-
-    Every ingest rule looks within one instance (the dedup key holds the
-    instance_id), so a run cleans as it would in the whole corpus. Only
-    the run being written, and the line that ended it, are alive.
-    """
-    written: set[str] = set()
-    ts: list[Trajectory] = []
-    skipped = 0
-    for t in iter_trajectories(lines, strict, stage.canon):
-        if t is None:
-            skipped += 1
-            continue
-        if ts and t.instance_id != ts[0].instance_id:
-            written.add(ts[0].instance_id)
-            _write_run(run, files, ts, stage)
-            ts = []
-        if t.instance_id in written:
-            raise _Restart  # instance order would differ
-        ts.append(t)
-    if ts:
-        _write_run(run, files, ts, stage)
-    if run.report is not None:
-        run.report.malformed_skipped = skipped
-
-
-def _write_whole(
-    run: _Run, files: dict[str, TextIO], lines: Iterable[bytes], stage: StageConfig, strict: bool
-) -> None:
-    """Parse and clean (ingest) or group the whole corpus, then write it."""
-    if run.report is None:
-        ts, _ = parse_trajectory_stream(lines, strict, stage.canon)
-        groups = group_by_instance(ts)
-    else:
-        groups, run.report = ingest_pipeline(
-            lines, stage.loop_threshold, stage.outlier_min_prefix, stage.canon, strict
-        )
-    for instance_id, ts in groups.items():
-        _write_instance(run, files, _Instance(instance_id, ts, stage))
 
 
 def cmd_pipeline(args, config) -> int:
@@ -416,23 +398,23 @@ def cmd_pipeline(args, config) -> int:
     retained. Each contiguous run of one instance's lines is cleaned,
     and each instance's tree is built only if a file needs it and written
     to every file, before the next run is read. If an instance id comes
-    back after another instance began, or a run fails, the files are
-    dropped and the whole corpus is parsed first, then written (as is an
-    input that cannot be read twice). The files are committed together.
+    back after another instance began, or the streamed pass fails, the
+    files are dropped and the whole corpus is cleaned as one run (as is
+    an input that cannot be read twice), which gives the whole-corpus
+    instance order and error. The files are committed together.
     """
     names = COMMAND_OUTPUTS[args.command]
     stage = stage_config(config)
     strict = not config["lenient"]
-    ingest = "retained.jsonl" in names
     try:
         fh = open(args.input, "rb")
     except OSError as exc:
         raise InputError(f"cannot read corpus {args.input}: {exc}") from exc
 
-    def attempt(write: Callable[..., None]) -> _Run:
-        run = _Run(config, IngestReport() if ingest else None)
+    def attempt(streamed: bool) -> _Run:
+        run = _Run(config, IngestReport() if "retained.jsonl" in names else None)
         with output_files(Path(args.out_dir), names) as files:
-            write(run, files, fh, stage, strict)
+            _write(run, files, _runs(run, fh, strict, stage.canon, streamed), stage)
             for name, doc in files.items():
                 if name in _DOCS:
                     doc.write(_DOCS[name](run))
@@ -442,37 +424,31 @@ def cmd_pipeline(args, config) -> int:
         run = None
         if fh.seekable():
             try:
-                run = attempt(_write_streamed)
-            except _Restart:
+                run = attempt(streamed=True)
+            # a malformed line or prompt conflict later in the corpus takes
+            # precedence over a run's error; the whole-corpus pass raises it
+            except (_Restart, InputError, InvariantError):
                 fh.seek(0)
         if run is None:
-            run = attempt(_write_whole)
+            run = attempt(streamed=False)
     if "sft.jsonl" in names and run.instances and not run.sft_examples:
         print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)
     return EXIT_OK
 
 
+# the synth/selfcheck flags; seed is a config key
+_SYNTH_FLAGS = [f for f in fields(SynthConfig) if f.name != "seed"]
+
+
 def _synth_config(args, config) -> SynthConfig:
-    return SynthConfig(
-        seed=config["seed"],
-        instances=args.instances,
-        branching=args.branching,
-        depth=args.depth,
-        trajectories_per_instance=args.trajectories_per_instance,
-        planted_critical=args.planted_critical,
-        loop_rate=args.loop_rate,
-        outlier_rate=args.outlier_rate,
-        duplicate_rate=args.duplicate_rate,
-        divergent_observations=args.divergent_observations,
-    )
+    return SynthConfig(seed=config["seed"], **{f.name: getattr(args, f.name) for f in _SYNTH_FLAGS})
 
 
 def cmd_synth(args, config) -> int:
-    synth_cfg = _synth_config(args, config)
-    corpus, truth = generate(synth_cfg)
-    out = Path(args.out_dir)
-    atomic_write(out / "corpus.jsonl", "".join(serialize_trajectory(t) + "\n" for t in corpus))
-    atomic_write(out / "ground_truth.json", json_doc(truth))
+    corpus, truth = generate(_synth_config(args, config))
+    with output_files(Path(args.out_dir), ("corpus.jsonl", "ground_truth.json")) as files:
+        files["corpus.jsonl"].write("".join(serialize_trajectory(t) + "\n" for t in corpus))
+        files["ground_truth.json"].write(json_doc(truth))
     return EXIT_OK
 
 
@@ -495,24 +471,8 @@ def _loss_record(obj: Any, default_reduction: str) -> dict[str, Any]:
         loss = sft_loss(lp, reduction=obj.get("reduction", default_reduction))
         return {"kind": "sft", "loss": loss}
     if kind == "dpo":
-        x = DpoInputs(
-            policy_chosen=float(obj["policy_chosen"]),
-            policy_rejected=float(obj["policy_rejected"]),
-            ref_chosen=float(obj["ref_chosen"]),
-            ref_rejected=float(obj["ref_rejected"]),
-            beta=float(obj["beta"]),
-        )
-        grad = dpo_loss_grad(x)
-        return {
-            "kind": "dpo",
-            "loss": dpo_loss(x),
-            "grad": {
-                "policy_chosen": grad.policy_chosen,
-                "policy_rejected": grad.policy_rejected,
-                "ref_chosen": grad.ref_chosen,
-                "ref_rejected": grad.ref_rejected,
-            },
-        }
+        x = DpoInputs(**{f.name: float(obj[f.name]) for f in fields(DpoInputs)})
+        return {"kind": "dpo", "loss": dpo_loss(x), "grad": asdict(dpo_loss_grad(x))}
     raise InputError(f"loss record kind must be 'sft' or 'dpo', got {kind!r}")
 
 
@@ -580,15 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, needs_out in (("synth", cmd_synth, True), ("selfcheck", cmd_selfcheck, False)):
         p = add(name, func, needs_input=False, needs_out=needs_out)
-        p.add_argument("--instances", type=int, default=20)
-        p.add_argument("--branching", type=int, default=3)
-        p.add_argument("--depth", type=int, default=6)
-        p.add_argument("--trajectories-per-instance", type=int, default=6)
-        p.add_argument("--planted-critical", type=int, default=1)
-        p.add_argument("--loop-rate", type=float, default=0.1)
-        p.add_argument("--outlier-rate", type=float, default=0.1)
-        p.add_argument("--duplicate-rate", type=float, default=0.1)
-        p.add_argument("--divergent-observations", action="store_true")
+        for f in _SYNTH_FLAGS:
+            flag = "--" + f.name.replace("_", "-")
+            if isinstance(f.default, bool):
+                p.add_argument(flag, action="store_true")
+            else:  # the CLI generates 20 instances by default
+                default = 20 if f.name == "instances" else f.default
+                p.add_argument(flag, type=type(f.default), default=default)
     return parser
 
 

@@ -7,7 +7,7 @@ only sees the cleaned peer set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Any, Iterable
 
 from .errors import ConfigError, InputError
@@ -28,15 +28,7 @@ class IngestReport:
     per_instance_retained: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "input_count": self.input_count,
-            "duplicates_removed": self.duplicates_removed,
-            "loops_removed": self.loops_removed,
-            "outliers_removed": self.outliers_removed,
-            "retained": self.retained,
-            "malformed_skipped": self.malformed_skipped,
-            "per_instance_retained": dict(self.per_instance_retained),
-        }
+        return asdict(self)
 
     def add(self, other: IngestReport) -> None:
         """Fold in the report of a later part of the corpus that shares no instance."""

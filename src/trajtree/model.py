@@ -8,6 +8,7 @@ lines, one trajectory per line.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable, Iterator
@@ -15,6 +16,18 @@ from typing import IO, Any, Iterable, Iterator
 from .errors import InputError
 
 _WS_RUN = re.compile(r"\s+")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+# NaN, Infinity and literals that overflow a float (1e400) have no JSON form
+# on output; rejecting them at parse keeps them out of every output file
+_decode = json.JSONDecoder(parse_constant=_finite, parse_float=_finite).decode
 
 # Top-level corpus fields; anything else is folded into meta on parse.
 _KNOWN_FIELDS = {"instance_id", "trajectory_id", "prompt", "steps", "resolved", "meta"}
@@ -149,14 +162,15 @@ def iter_trajectories(
                 line = line.decode("utf-8")
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            obj = _decode(line)
             if "\\u" in line:
                 # a \u escape can decode to a lone surrogate, which no UTF-8
                 # output can hold: UnicodeEncodeError
                 json.dumps(obj, ensure_ascii=False).encode("utf-8")
             t = _parse_record(obj, canon)
-        # RecursionError: nesting deeper than the JSON decoder can follow
-        except (UnicodeError, json.JSONDecodeError, RecursionError, InputError) as exc:
+        # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer
+        # too long to convert; RecursionError: nesting deeper than the decoder follows
+        except (ValueError, RecursionError, InputError) as exc:
             if strict:
                 raise InputError(str(exc), line=line_no) from exc
             t = None

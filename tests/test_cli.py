@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import json
 import os
 import stat
@@ -20,6 +21,7 @@ from trajtree.ingest import group_by_instance, ingest_pipeline
 from trajtree.model import serialize_trajectory
 from trajtree.pipeline import StageConfig, process_instances
 from trajtree.scoring import pair_to_dict, scored_tree_to_dict
+from trajtree.synth import SynthConfig
 from trajtree.tree import tree_to_dict
 
 from conftest import make_traj
@@ -135,38 +137,58 @@ class TestExitCodes:
         assert report["malformed_skipped"] == 1
         assert report["retained"] == 3
 
+    # JSON the decoder cannot follow: nesting too deep, an integer too long to convert
+    UNDECODABLE = (b"[" * 100000, b'{"x": ' + b"9" * 5000 + b"}")
+
     def test_deeply_nested_line_strict_exits_2(self, tmp_path, corpus_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(corpus_path.read_bytes() + b"[" * 100000 + b"\n")
-        code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
-        assert code == 2
-        assert "line 4" in capsys.readouterr().err
+        for line in self.UNDECODABLE:
+            bad.write_bytes(corpus_path.read_bytes() + line + b"\n")
+            code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == 2, line[:10]
+            assert "line 4" in capsys.readouterr().err, line[:10]
 
     def test_deeply_nested_line_lenient_is_skipped(self, tmp_path, corpus_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(b"[" * 100000 + b"\n" + corpus_path.read_bytes())
-        out = tmp_path / "o"
-        assert main(["ingest", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
-        report = json.loads((out / "ingest_report.json").read_text())
-        assert report["malformed_skipped"] == 1
-        assert report["retained"] == 3
+        for line in self.UNDECODABLE:
+            bad.write_bytes(line + b"\n" + corpus_path.read_bytes())
+            out = tmp_path / "o"
+            assert main(["ingest", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
+            report = json.loads((out / "ingest_report.json").read_text())
+            assert report["malformed_skipped"] == 1, line[:10]
+            assert report["retained"] == 3, line[:10]
+
+    # numbers with no JSON form on output: NaN, infinities, a float literal that overflows
+    NON_FINITE = (b"NaN", b"Infinity", b"-Infinity", b"1e400")
 
     def test_lone_surrogate_strict_exits_2(self, tmp_path, corpus_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(corpus_path.read_bytes().replace(b'"test"', b'"a\\ud800"'))
-        code = main(["all", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        text = corpus_path.read_bytes()
+        for bad_text in (
+            text.replace(b'"test"', b'"a\\ud800"'),
+            *(text.replace(b'"meta":{}', b'"meta":{"x":%s}' % n, 1) for n in self.NON_FINITE),
+        ):
+            bad.write_bytes(bad_text)
+            code = main(["all", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == 2, bad_text[:60]
+            assert "line 1" in capsys.readouterr().err, bad_text[:60]
 
     def test_lone_surrogate_lenient_is_skipped(self, tmp_path, corpus_path):
         bad = tmp_path / "bad.jsonl"
         line = serialize_trajectory(make_traj("t0", [("a\ud800", None)], 1))
-        bad.write_bytes(line.encode("ascii", "backslashreplace") + b"\n" + corpus_path.read_bytes())
-        out = tmp_path / "o"
-        assert main(["all", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
-        report = json.loads((out / "ingest_report.json").read_text())
-        assert report["malformed_skipped"] == 1
-        assert report["retained"] == 3
+        valid = serialize_trajectory(make_traj("t0", [("search", None)], 1)).encode()
+        for bad_line in (
+            line.encode("ascii", "backslashreplace"),
+            *(valid.replace(b'"meta":{}', b'"meta":{"x":%s}' % n) for n in self.NON_FINITE),
+        ):
+            bad.write_bytes(bad_line + b"\n" + corpus_path.read_bytes())
+            out = tmp_path / "o"
+            assert main(["all", "--input", str(bad), "--out-dir", str(out), "--lenient"]) == 0
+            report = json.loads((out / "ingest_report.json").read_text())
+            assert report["malformed_skipped"] == 1, bad_line
+            assert report["retained"] == 3, bad_line
+            retained = (out / "retained.jsonl").read_bytes()
+            assert b"NaN" not in retained and b"Infinity" not in retained, bad_line
 
     def test_duplicate_trajectory_id_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -229,6 +251,19 @@ class TestAll:
         assert dpo[0]["chosen"] == "test" and dpo[0]["rejected"] == "submit"
         assert stats["critical_pair_count"] == 1
         assert stats["ingest"]["retained"] == 3
+
+    def test_equal_thresholds_write_equal_bytes(self, corpus_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        outputs = []
+        for threshold in ('"1/2"', '"2/4"', "0.5"):
+            cfg.write_text(f'{{"critical_threshold": {threshold}}}', encoding="utf-8")
+            out = tmp_path / f"out{len(outputs)}"
+            argv = ["all", "--input", str(corpus_path), "--out-dir", str(out)]
+            assert main(["--config", str(cfg), *argv]) == 0
+            outputs.append(read_outputs(out))
+        assert outputs[0] == outputs[1] == outputs[2]
+        report = json.loads(outputs[0]["ingest_report.json"])
+        assert report["effective_config"]["critical_threshold"] == "1/2"
 
     def test_files_end_with_newline(self, corpus_path, tmp_path):
         out = tmp_path / "out"
@@ -369,6 +404,11 @@ class TestSynthAndSelfcheck:
         for out in (a, b):
             assert main(["synth", "--seed", "7", "--out-dir", str(out)]) == 0
         assert read_outputs(a) == read_outputs(b)
+
+    def test_synth_flags_default_to_synth_config(self):
+        args = cli.build_parser().parse_args(["synth", "--out-dir", "o"])
+        config = cli.load_config(None, {})
+        assert cli._synth_config(args, config) == SynthConfig(seed=0, instances=20)
 
     def test_selfcheck_deterministic_across_jobs(self, tmp_path):
         lines = []
@@ -515,6 +555,18 @@ class TestNoPartialOutput:
         assert list(fresh.iterdir()) == []
         assert read_outputs(kept) == before
 
+    @pytest.mark.parametrize(
+        "command, target", [("all", "stats.json"), ("synth", "ground_truth.json")]
+    )
+    def test_directory_target_commits_no_file(self, command, target, corpus_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)
+        source = ["--instances", "2"] if command == "synth" else ["--input", str(corpus_path)]
+        assert main([command, *source, "--out-dir", str(out)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [target]
+        assert list((out / target).iterdir()) == []
+
 
 class TestStreaming:
     def test_one_tree_alive_at_a_time(self, tmp_path, monkeypatch):
@@ -654,7 +706,7 @@ class TestStreamedFallback:
             assert "conflicting prompts" in err and "'B'" in err, command
 
     def test_lenient_report_matches_ingest_pipeline(self, tmp_path):
-        corpus = _write_corpus(tmp_path / "corpus.jsonl", [
+        records = [
             "not json",
             _traj("A", "a1", ["look", "fix"], 1),
             _traj("A", "a2", ["look", "fix"], 1),  # a duplicate
@@ -668,17 +720,31 @@ class TestStreamedFallback:
             _traj("C", "c1", ["look"], 1),
             _traj("C", "c2", ["look", "more"]),
             "{",
-        ])
-        with open(corpus, "rb") as fh:
-            _, expected = ingest_pipeline(fh, strict=False)
-        assert expected.malformed_skipped == 5 and expected.loops_removed == 2
-        for command in ("ingest", "all"):
-            out = tmp_path / command
-            assert main([command, "--input", str(corpus), "--out-dir", str(out), "--lenient"]) == 0
-            report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
-            assert report.pop("effective_config")["lenient"] is True
-            assert report == expected.to_dict(), command
-            assert list(report["per_instance_retained"]) == ["A", "C"], command
+        ]
+        # one more A line at the end sends the streamed pass to the whole-corpus run
+        for name, extra in (("runs", []), ("back", [_traj("A", "a6", ["look", "more"])])):
+            corpus = _write_corpus(tmp_path / f"{name}.jsonl", records + extra)
+            with open(corpus, "rb") as fh:
+                _, expected = ingest_pipeline(fh, strict=False)
+            assert expected.malformed_skipped == 5 and expected.loops_removed == 2
+            fifo = tmp_path / f"{name}.fifo"
+            os.mkfifo(fifo)
+            for command, source in itertools.product(("ingest", "all"), (corpus, fifo)):
+                out = tmp_path / name / command / source.suffix
+                writer = threading.Thread(
+                    target=fifo.write_bytes, args=(corpus.read_bytes(),), daemon=True
+                )
+                if source == fifo:  # a FIFO is read once, by the whole-corpus run
+                    writer.start()
+                argv = [command, "--input", str(source), "--out-dir", str(out), "--lenient"]
+                assert main(argv) == 0
+                if source == fifo:
+                    writer.join(timeout=10)
+                    assert not writer.is_alive()
+                report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+                assert report.pop("effective_config")["lenient"] is True
+                assert report == expected.to_dict(), out
+                assert list(report["per_instance_retained"]) == ["A", "C"], out
 
 
 class TestOutputMode:
