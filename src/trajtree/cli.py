@@ -28,7 +28,7 @@ from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_
 from .model import CanonConfig, Trajectory, iter_trajectories, serialize_trajectory
 from .pipeline import InstanceResult, StageConfig, process_instance, selfcheck
 from .scoring import format_rational
-from .synth import SynthConfig, generate
+from .synth import SynthConfig, iter_instances, render_truth, truth_chunks
 from .tree import path_lengths, tree_to_dict
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
@@ -99,8 +99,10 @@ def _validate_config(config: dict[str, Any]) -> None:
 
 
 def parse_threshold(value: Any) -> Fraction:
+    """The exact rational a threshold was written as: a JSON float such as
+    0.3 is the decimal 3/10, not its nearest binary value."""
     try:
-        return Fraction(value)
+        return Fraction(repr(value) if isinstance(value, float) else value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad critical_threshold {value!r}") from exc
 
@@ -445,10 +447,16 @@ def _synth_config(args, config) -> SynthConfig:
 
 
 def cmd_synth(args, config) -> int:
-    corpus, truth = generate(_synth_config(args, config))
+    """Write each instance's corpus lines as it is generated; keep only its
+    rendered ground-truth record, and write the ground truth at the end."""
+    synth_config = _synth_config(args, config)
+    instances = iter_instances(synth_config)  # validates before the out dir is made
+    records: dict[str, str] = {}
     with output_files(Path(args.out_dir), ("corpus.jsonl", "ground_truth.json")) as files:
-        files["corpus.jsonl"].write("".join(serialize_trajectory(t) + "\n" for t in corpus))
-        files["ground_truth.json"].write(json_doc(truth))
+        for ts, truth in instances:
+            files["corpus.jsonl"].write("".join(serialize_trajectory(t) + "\n" for t in ts))
+            records[truth["instance_id"]] = render_truth(truth)
+        files["ground_truth.json"].writelines(truth_chunks(synth_config, records))
     return EXIT_OK
 
 

@@ -25,9 +25,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # a JSON integer fails only the interpreter's length limit
+        raise ValueError(f"integer literal of {len(text.lstrip('-'))} digits is too long") from None
+
+
 # NaN, Infinity and literals that overflow a float (1e400) have no JSON form
 # on output; rejecting them at parse keeps them out of every output file
-_decode = json.JSONDecoder(parse_constant=_finite, parse_float=_finite).decode
+_decode = json.JSONDecoder(parse_constant=_finite, parse_float=_finite, parse_int=_int).decode
 
 # Top-level corpus fields; anything else is folded into meta on parse.
 _KNOWN_FIELDS = {"instance_id", "trajectory_id", "prompt", "steps", "resolved", "meta"}

@@ -87,7 +87,7 @@ def node_prefix_scores(
 
 
 def pairs_as_prefix_set(
-    tree: TrajTree, pairs: list[CriticalPair], canon: CanonConfig
+    pairs: list[CriticalPair], canon: CanonConfig
 ) -> set[tuple[tuple[str, ...], str, str]]:
     from .model import canonicalize_action
 
@@ -135,7 +135,7 @@ def selfcheck(synth_config: SynthConfig) -> dict[str, Any]:
         if node_prefix_scores(result.tree, result.scores) != oracle_scores:
             raise InvariantError(f"{instance_id}: node scores disagree with oracle")
         oracle_pairs = brute_force_pairs(oracle_scores, stage.critical_threshold)
-        got_pairs = pairs_as_prefix_set(result.tree, result.pairs, stage.canon)
+        got_pairs = pairs_as_prefix_set(result.pairs, stage.canon)
         if got_pairs != oracle_pairs:
             raise InvariantError(f"{instance_id}: critical pairs disagree with oracle")
         for planted in truth_rec["planted_pairs"]:

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .errors import ConfigError
 from .model import CanonConfig, Step, Trajectory
@@ -46,11 +48,6 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {p}")
 
 
-def _observation(instance_id: str, prefix: tuple[str, ...], suffix: str = "") -> str:
-    digest = hashlib.sha1("|".join(prefix).encode("utf-8")).hexdigest()[:10]
-    return f"obs[{instance_id}:{len(prefix)}:{digest}]{suffix}"
-
-
 def _attach_observations(
     instance_id: str,
     trajectory_id: str,
@@ -60,13 +57,19 @@ def _attach_observations(
     divergent: bool,
     omit_final_obs: bool,
 ) -> Trajectory:
+    """The observation after the first k actions is `obs[instance_id:k:digest]`,
+    digest being the sha1 of those actions joined by "|", from one running hash."""
+    suffix = f":{trajectory_id}" if divergent else ""
+    prefix_hash = hashlib.sha1()
+    separator = b""
     steps = []
     for i, action in enumerate(actions):
+        prefix_hash.update(separator + action.encode("utf-8"))
+        separator = b"|"
         if i == len(actions) - 1 and omit_final_obs:
             obs = None
         else:
-            suffix = f":{trajectory_id}" if divergent else ""
-            obs = _observation(instance_id, tuple(actions[: i + 1]), suffix)
+            obs = f"obs[{instance_id}:{i + 1}:{prefix_hash.copy().hexdigest()[:10]}]{suffix}"
         steps.append(Step(action=action, observation=obs))
     return Trajectory(
         instance_id=instance_id,
@@ -187,23 +190,95 @@ def _intended_retained(ts: list[Trajectory]) -> list[Trajectory]:
         kept.append(t)
     if len(kept) <= 1:
         return kept
-    return [
-        t
-        for t in kept
-        if any(u is not t and t.action_keys()[0] == u.action_keys()[0] for u in kept)
-    ]
+    # an outlier shares its first action with no other kept trajectory
+    firsts = Counter(t.action_keys()[0] for t in kept)
+    return [t for t in kept if firsts[t.action_keys()[0]] > 1]
+
+
+def iter_instances(config: SynthConfig) -> Iterator[tuple[list[Trajectory], dict[str, Any]]]:
+    """Each instance's trajectories and ground-truth record, generated lazily
+    in index order. The config is validated before this returns."""
+    config.validate()
+    return (_generate_instance(config, i) for i in range(config.instances))
 
 
 def generate(config: SynthConfig) -> tuple[list[Trajectory], dict[str, Any]]:
     """Deterministic corpus plus ground truth (retained sets, scores, planted pairs)."""
-    config.validate()
     corpus: list[Trajectory] = []
     instances: dict[str, Any] = {}
-    for i in range(config.instances):
-        ts, truth = _generate_instance(config, i)
+    for ts, truth in iter_instances(config):
         corpus.extend(ts)
         instances[truth["instance_id"]] = truth
     return corpus, {"config": asdict(config), "instances": instances}
+
+
+# ground_truth.json is {"config": ..., "instances": {name: record}} as
+# json.dumps(indent=2, sort_keys=True, ensure_ascii=False) writes it. The
+# writer below renders it one instance record at a time, for the fixed schema
+# of `_generate_instance`'s records, instead of encoding one whole dict.
+_string = json.encoder.encode_basestring  # the string encoding of ensure_ascii=False
+_RECORD = " " * 4  # indent of an instance's key and its record's closing brace
+_FIELD = _RECORD + "  "
+_ITEM = _FIELD + "  "
+_SUBITEM = _ITEM + "  "
+
+
+def _block(brackets: str, entries: list[str], indent: str) -> str:
+    """An array ("[]") or object ("{}") of encoded entries, one per line,
+    indented two spaces past `indent`, where the closing bracket sits."""
+    if not entries:
+        return brackets
+    inner = ",\n" + indent + "  "
+    return brackets[0] + inner[1:] + inner.join(entries) + "\n" + indent + brackets[1]
+
+
+def _strings(items: Iterable[str], indent: str) -> str:
+    return _block("[]", [_string(item) for item in items], indent)
+
+
+def render_truth(truth: dict[str, Any]) -> str:
+    """One `_generate_instance` ground-truth record as its `"name": {...}`
+    entry in the "instances" object, without separator or newline.
+
+    Keys come in the sorted order of the record's fixed schema; prefix_scores
+    keys are sorted as strings, as sort_keys sorts them.
+    """
+    scores = truth["prefix_scores"]
+    fields = [
+        '"instance_id": ' + _string(truth["instance_id"]),
+        '"oracle_pairs": ' + _block("[]", [
+            _block("[]", [_strings(prefix, _SUBITEM), _string(chosen), _string(rejected)], _ITEM)
+            for prefix, chosen, rejected in truth["oracle_pairs"]
+        ], _FIELD),
+        '"planted_pairs": ' + _block("[]", [
+            _block("{}", [
+                '"chosen": ' + _string(p["chosen"]),
+                '"prefix": ' + _strings(p["prefix"], _SUBITEM),
+                '"rejected": ' + _string(p["rejected"]),
+            ], _ITEM)
+            for p in truth["planted_pairs"]
+        ], _FIELD),
+        '"prefix_scores": ' + _block("{}", [
+            f"{_string(key)}: [\n{_SUBITEM}{scores[key][0]},\n{_SUBITEM}{scores[key][1]}\n{_ITEM}]"
+            for key in sorted(scores)
+        ], _FIELD),
+        '"retained": ' + _strings(truth["retained"], _FIELD),
+    ]
+    return _RECORD + _string(truth["instance_id"]) + ": " + _block("{}", fields, _RECORD)
+
+
+def truth_chunks(config: SynthConfig, records: dict[str, str]) -> Iterator[str]:
+    """ground_truth.json in pieces: the config, then the `render_truth`
+    entries in sorted-name order (from 10,000 instances on, index order is
+    not name order)."""
+    head = json.dumps({"config": asdict(config)}, ensure_ascii=False, indent=2, sort_keys=True)
+    yield head[: -len("\n}")] + ',\n  "instances": {'
+    separator = "\n"
+    for name in sorted(records):
+        yield separator
+        yield records[name]
+        separator = ",\n"
+    yield "\n  }\n}\n" if records else "}\n}\n"
 
 
 def brute_force_scores(
@@ -227,8 +302,12 @@ def brute_force_pairs(
     prefix_scores: dict[tuple[str, ...], tuple[int, int]],
     threshold: Fraction = DEFAULT_THRESHOLD,
 ) -> set[tuple[tuple[str, ...], str, str]]:
-    """All (prefix, chosen, rejected) next-action pairs with score gap > threshold."""
+    """All (prefix, chosen, rejected) next-action pairs with score gap > threshold.
+
+    sa/na - sb/nb > num/den is compared as (sa*nb - sb*na)*den > num*na*nb.
+    """
     threshold = Fraction(threshold)
+    num, den = threshold.numerator, threshold.denominator
     children: dict[tuple[str, ...], list[str]] = {}
     for prefix in prefix_scores:
         if prefix:
@@ -241,9 +320,10 @@ def brute_force_pairs(
             for b in actions[i + 1 :]:
                 sa, na = prefix_scores[parent + (a,)]
                 sb, nb = prefix_scores[parent + (b,)]
-                diff = Fraction(sa, na) - Fraction(sb, nb)
-                if diff > threshold:
+                cross = (sa * nb - sb * na) * den
+                bound = num * na * nb
+                if cross > bound:
                     pairs.add((parent, a, b))
-                elif -diff > threshold:
+                elif -cross > bound:
                     pairs.add((parent, b, a))
     return pairs

@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
             oracle_scores = brute_force_scores(ts)
             assert node_prefix_scores(result.tree, result.scores) == oracle_scores
             oracle_pairs = brute_force_pairs(oracle_scores, Fraction(1, 2))
-            got = pairs_as_prefix_set(result.tree, result.pairs, StageConfig().canon)
+            got = pairs_as_prefix_set(result.pairs, StageConfig().canon)
             assert got == oracle_pairs
             checked += 1
     elapsed = time.monotonic() - start

@@ -146,7 +146,11 @@ class TestExitCodes:
             bad.write_bytes(corpus_path.read_bytes() + line + b"\n")
             code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
             assert code == 2, line[:10]
-            assert "line 4" in capsys.readouterr().err, line[:10]
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 4: "), line[:10]
+            # the message is the program's, not the interpreter's advice on its limit
+            assert "set_int_max_str_digits" not in err, line[:10]
+        assert err == "error: line 4: integer literal of 5000 digits is too long\n"
 
     def test_deeply_nested_line_lenient_is_skipped(self, tmp_path, corpus_path):
         bad = tmp_path / "bad.jsonl"
@@ -264,6 +268,29 @@ class TestAll:
         assert outputs[0] == outputs[1] == outputs[2]
         report = json.loads(outputs[0]["ingest_report.json"])
         assert report["effective_config"]["critical_threshold"] == "1/2"
+
+    def test_float_threshold_in_config_is_its_decimal(self, tmp_path):
+        # under a, x scores 8/10 and y 5/10: a gap of exactly 3/10, which the
+        # binary value of 0.3 (just below 3/10) would call critical
+        ts = [
+            make_traj(f"{branch}{i}", [("a", "o"), (branch, "o"), (f"end{i}", None)],
+                      int(i < wins), instance_id="i")
+            for branch, wins in (("x", 8), ("y", 5))
+            for i in range(10)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(serialize_trajectory(t) + "\n" for t in ts), encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"critical_threshold": 0.3}', encoding="utf-8")
+        argv = ["all", "--input", str(corpus)]
+        assert main([*argv, "--out-dir", str(tmp_path / "flag"), "--critical-threshold", "0.3"]) == 0
+        assert main(["--config", str(cfg), *argv, "--out-dir", str(tmp_path / "file")]) == 0
+        flag, file = read_outputs(tmp_path / "flag"), read_outputs(tmp_path / "file")
+        assert flag == file
+        pairs = [json.loads(line) for line in flag["pairs.jsonl"].splitlines()]
+        assert pairs and not any({p["chosen"], p["rejected"]} == {"x", "y"} for p in pairs)
+        report = json.loads(flag["ingest_report.json"])
+        assert report["effective_config"]["critical_threshold"] == "3/10"
 
     def test_files_end_with_newline(self, corpus_path, tmp_path):
         out = tmp_path / "out"

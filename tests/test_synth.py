@@ -1,8 +1,13 @@
+import hashlib
+import tempfile
+from dataclasses import asdict, fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajtree.cli import json_doc, main
 from trajtree.errors import ConfigError
 from trajtree.ingest import ingest_trajectories
 from trajtree.model import serialize_trajectory
@@ -13,7 +18,14 @@ from trajtree.pipeline import (
     process_instances,
     selfcheck,
 )
-from trajtree.synth import SynthConfig, brute_force_pairs, brute_force_scores, generate
+from trajtree.synth import (
+    SynthConfig,
+    brute_force_pairs,
+    brute_force_scores,
+    generate,
+    render_truth,
+    truth_chunks,
+)
 
 from conftest import make_traj
 
@@ -82,6 +94,24 @@ class TestBruteForceScores:
         assert scores[()] == (1, 3)
 
 
+def fraction_pairs(prefix_scores, threshold):
+    """brute_force_pairs restated in Fraction arithmetic."""
+    children = {}
+    for prefix in prefix_scores:
+        if prefix:
+            children.setdefault(prefix[:-1], []).append(prefix[-1])
+    pairs = set()
+    for parent, actions in children.items():
+        for i, a in enumerate(actions):
+            for b in actions[i + 1 :]:
+                diff = Fraction(*prefix_scores[parent + (a,)]) - Fraction(*prefix_scores[parent + (b,)])
+                if diff > threshold:
+                    pairs.add((parent, a, b))
+                elif -diff > threshold:
+                    pairs.add((parent, b, a))
+    return pairs
+
+
 class TestBruteForcePairs:
     def test_fixture_single_pair(self, fixture_trajectories):
         scores = brute_force_scores(fixture_trajectories)
@@ -98,6 +128,17 @@ class TestBruteForcePairs:
     def test_threshold_one_never_emits(self, fixture_trajectories):
         scores = brute_force_scores(fixture_trajectories)
         assert brute_force_pairs(scores, Fraction(1)) == set()
+
+    @given(
+        st.dictionaries(
+            st.lists(st.sampled_from("abc"), max_size=3).map(tuple),
+            st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+            max_size=24,
+        ),
+        st.fractions(0, 1, max_denominator=12),
+    )
+    def test_matches_fraction_arithmetic(self, prefix_scores, threshold):
+        assert brute_force_pairs(prefix_scores, threshold) == fraction_pairs(prefix_scores, threshold)
 
 
 synth_configs = st.builds(
@@ -129,5 +170,113 @@ class TestPipelineAgainstOracle:
             result = results[instance_id]
             oracle = brute_force_scores(ts)
             assert node_prefix_scores(result.tree, result.scores) == oracle
-            got = pairs_as_prefix_set(result.tree, result.pairs, StageConfig().canon)
+            got = pairs_as_prefix_set(result.pairs, StageConfig().canon)
             assert got == brute_force_pairs(oracle, Fraction(1, 2))
+
+
+def synth_files(cfg: SynthConfig, out: Path) -> dict[str, bytes]:
+    """The files `trajtree synth` writes for `cfg`."""
+    argv = ["synth", "--out-dir", str(out)]
+    for f in fields(SynthConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, bool):
+            argv += [f"--{f.name.replace('_', '-')}"] if value else []
+        else:
+            argv += [f"--{f.name.replace('_', '-')}", str(value)]
+    assert main(argv) == 0
+    return {name: (out / name).read_bytes() for name in ("corpus.jsonl", "ground_truth.json")}
+
+
+class TestSynthFiles:
+    # sha256 of (corpus.jsonl, ground_truth.json), recorded before the corpus
+    # and ground truth were streamed; they pin the benchmark's input bytes
+    GOLDEN = {
+        "default": ([], (
+            "f04cb3868afdf7cbce8c29d247b39795892f05962c37760484a9bcd19ede52ab",
+            "148cc3e89ec56defda30242d321d0b80bd043ebc98343bbb2cf342671a63085f",
+        )),
+        "deep": (["--seed", "1", "--instances", "4", "--trajectories-per-instance", "40",
+                  "--depth", "30", "--branching", "2"], (
+            "5437c7d0bb345af0336edc05a18d079a1ed22ce6523611317e93ce6e318fc40b",
+            "a390bb515d6f0dbdbb6ab25a81f17f736438115784df29ccd7470415e49d54f8",
+        )),
+        "wide": (["--seed", "1", "--instances", "3", "--trajectories-per-instance", "60",
+                  "--depth", "12", "--branching", "8"], (
+            "1621039e41c8ef07f70828eb2fb66f30b9139bc9788792f4b2ca96695f7ac3e5",
+            "7799378b50908e68628bb00e6d6c8b049f7648fd67caa42a184a50675d11739f",
+        )),
+        "divergent": (["--seed", "7", "--instances", "6", "--divergent-observations"], (
+            "466d83f6b7ff4b4258bb6ee2ed7caf20aaccbd901171bfbc9339cecdd65e27ff",
+            "b5a3ebfa56f1042fc9549961b702e553c0c863abf42c306f47128d55973fd286",
+        )),
+    }
+
+    @pytest.mark.parametrize("shape", GOLDEN)
+    def test_golden_digests(self, shape, tmp_path):
+        flags, digests = self.GOLDEN[shape]
+        assert main(["synth", *flags, "--out-dir", str(tmp_path)]) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("corpus.jsonl", "ground_truth.json")
+        )
+        assert got == digests
+
+    @given(st.builds(
+        SynthConfig,
+        seed=st.integers(0, 10_000),
+        instances=st.integers(0, 4),
+        branching=st.integers(1, 3),
+        depth=st.integers(1, 5),
+        trajectories_per_instance=st.integers(0, 8),
+        planted_critical=st.integers(0, 2),
+        loop_rate=st.floats(0, 0.4),
+        outlier_rate=st.floats(0, 0.4),
+        duplicate_rate=st.floats(0, 0.4),
+        divergent_observations=st.booleans(),
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_files_match_generate(self, cfg):
+        corpus, truth = generate(cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            files = synth_files(cfg, Path(tmp))
+        assert files["ground_truth.json"] == json_doc(truth).encode("utf-8")
+        assert files["corpus.jsonl"] == "".join(
+            serialize_trajectory(t) + "\n" for t in corpus
+        ).encode("utf-8")
+
+    @given(
+        st.text(min_size=1),
+        st.lists(st.text(), max_size=3),
+        st.dictionaries(st.text(), st.tuples(st.integers(0, 9), st.integers(1, 9)).map(list),
+                        max_size=4),
+        st.lists(st.fixed_dictionaries({
+            "prefix": st.lists(st.text(), max_size=3), "chosen": st.text(), "rejected": st.text(),
+        }), max_size=2),
+        st.lists(st.tuples(st.lists(st.text(), max_size=3), st.text(), st.text()).map(list),
+                 max_size=2),
+    )
+    def test_writer_matches_json_dumps_on_any_text(
+        self, instance_id, retained, prefix_scores, planted_pairs, oracle_pairs
+    ):
+        truth = {
+            "instance_id": instance_id,
+            "retained": retained,
+            "prefix_scores": prefix_scores,
+            "planted_pairs": planted_pairs,
+            "oracle_pairs": oracle_pairs,
+        }
+        cfg = SynthConfig()
+        text = "".join(truth_chunks(cfg, {instance_id: render_truth(truth)}))
+        assert text == json_doc({"config": asdict(cfg), "instances": {instance_id: truth}})
+
+    def test_names_past_inst9999_are_written_in_sorted_order(self, tmp_path):
+        cfg = SynthConfig(instances=10_001, trajectories_per_instance=0)
+        files = synth_files(cfg, tmp_path)
+        assert files["corpus.jsonl"] == b""
+        assert files["ground_truth.json"] == json_doc(generate(cfg)[1]).encode("utf-8")
+
+    def test_bad_config_makes_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--depth", "0", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
