@@ -21,11 +21,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .emit import emit_sft, sft_to_dict, stats_from_paths
+from .emit import stats_from_paths
 from .errors import ConfigError, InputError, InvariantError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
-from .model import CanonConfig, Trajectory, iter_trajectories, serialize_trajectory
+from .model import (
+    CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories, serialize_trajectory,
+)
 from .pipeline import InstanceResult, StageConfig, process_instance, selfcheck
 from .scoring import format_rational
 from .synth import SynthConfig, iter_instances, render_truth, truth_chunks
@@ -171,13 +173,6 @@ def atomic_write(path: Path, text: str) -> None:
         files[path.name].write(text)
 
 
-# one compact encoder for every JSON-lines file; json.dumps with keyword
-# arguments would build a new encoder per record
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-# the string encoding that encoder uses (ensure_ascii=False)
-_string = json.encoder.encode_basestring
-
-
 def _nullable(text: str | None) -> str:
     return "null" if text is None else _string(text)
 
@@ -306,9 +301,27 @@ def _scored_tree_line(run: _Run, inst: _Instance) -> str:
 
 
 def _sft_lines(run: _Run, inst: _Instance) -> str:
-    examples, _ = emit_sft(inst.ts)
-    run.sft_examples += len(examples)
-    return jsonl([sft_to_dict(e) for e in examples])
+    """sft_to_dict's record for each resolved trajectory, formatted field by
+    field; the prompt segment is encoded once, as group_by_instance gives an
+    instance one prompt."""
+    head = '{"instance_id":' + _string(inst.instance_id) + ',"trajectory_id":'
+    prompt = (
+        ',"segments":[{"role":"prompt","content":' + _string(inst.ts[0].prompt) + ',"loss":false}'
+    )
+    lines = []
+    for t in inst.ts:
+        if t.resolved != 1:
+            continue
+        lines.append(head + _string(t.trajectory_id) + prompt)
+        for s in t.steps:
+            lines.append(f',{{"role":"action","content":{_string(s.action)},"loss":true}}')
+            if s.observation is not None:
+                lines.append(
+                    f',{{"role":"observation","content":{_string(s.observation)},"loss":false}}'
+                )
+        lines.append("]}\n")
+        run.sft_examples += 1
+    return "".join(lines)
 
 
 # file -> its lines for one instance; each file is these, instance by instance
@@ -493,7 +506,8 @@ def cmd_loss(args, config) -> int:
                     line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
                     if not line.strip():
                         continue
-                    obj = json.loads(line)
+                    # too long an integer fails as the corpus parser words it
+                    obj = json.loads(line, parse_int=_int)
                     # allow_nan=False: a non-finite result is an error, never `Infinity`
                     lines_out.append(json.dumps(
                         _loss_record(obj, config["sft_reduction"]),

@@ -50,29 +50,31 @@ class CriticalPair:
 
 
 def score_nodes(tree: TrajTree) -> dict[int, NodeScore]:
-    """Post-order scoring: leaf = its outcome over 1, internal = sum over children."""
-    scores: dict[int, NodeScore] = {}
-    # iterative post-order; real trajectories can exceed the recursion limit
-    stack: list[tuple[int, bool]] = [(tree.root_id, False)]
-    while stack:
-        node_id, expanded = stack.pop()
-        node = tree.nodes[node_id]
+    """Subtree counts: leaf = its outcome over 1, internal = sum over children."""
+    nodes = tree.nodes
+    # breadth-first order puts every node after its parent, whatever the ids;
+    # iterative, as real trajectories can exceed the recursion limit
+    order = [tree.root_id]
+    for node_id in order:
+        order.extend(nodes[node_id].children)
+    counts: dict[int, tuple[int, int]] = {}
+    for node_id in reversed(order):  # children before their parent
+        node = nodes[node_id]
         if node.kind == LEAF:
             assert node.outcome is not None
-            scores[node_id] = NodeScore(node_id, successes=node.outcome, total=1)
+            counts[node_id] = (node.outcome, 1)
             continue
-        if not expanded:
-            stack.append((node_id, True))
-            stack.extend((child_id, False) for child_id in node.children)
-            continue
-        successes = sum(scores[c].successes for c in node.children)
-        total = sum(scores[c].total for c in node.children)
-        scores[node_id] = NodeScore(node_id, successes=successes, total=total)
-    if scores[tree.root_id].total != tree.path_count:
+        successes = total = 0
+        for child_id in node.children:
+            s, n = counts[child_id]
+            successes += s
+            total += n
+        counts[node_id] = (successes, total)
+    if counts[tree.root_id][1] != tree.path_count:
         raise InvariantError(
-            f"root path total {scores[tree.root_id].total} != path_count {tree.path_count}"
+            f"root path total {counts[tree.root_id][1]} != path_count {tree.path_count}"
         )
-    return scores
+    return {node_id: NodeScore(node_id, s, n) for node_id, (s, n) in counts.items()}
 
 
 def identify_critical_actions(
@@ -142,6 +144,7 @@ def extract_critical_pairs(
     seen: set[tuple] = set()
     # parent id -> (context segments, action keys on the path), built once per parent
     contexts: dict[int, tuple[tuple[Segment, ...], tuple[str, ...]]] = {}
+    values: dict[int, Fraction] = {}  # node id -> its score, made once per node
     for parent_id, chosen_id, rejected_id in triples:
         if parent_id not in contexts:
             contexts[parent_id] = _context(tree, parent_id)
@@ -153,14 +156,17 @@ def extract_critical_pairs(
         if signature in seen:
             continue
         seen.add(signature)
+        for node_id in (chosen_id, rejected_id):
+            if node_id not in values:
+                values[node_id] = scores[node_id].value
         pairs.append(
             CriticalPair(
                 instance_id=tree.instance_id,
                 context=context,
                 chosen=chosen.action_raw,
                 rejected=rejected.action_raw,
-                score_chosen=scores[chosen_id].value,
-                score_rejected=scores[rejected_id].value,
+                score_chosen=values[chosen_id],
+                score_rejected=values[rejected_id],
                 parent_node_id=parent_id,
             )
         )

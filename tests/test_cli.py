@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -16,15 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 from trajtree import cli, model, pipeline
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
-from trajtree.emit import dpo_to_dict, emit_dpo
+from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, sft_to_dict
 from trajtree.ingest import group_by_instance, ingest_pipeline
-from trajtree.model import serialize_trajectory
+from trajtree.model import Step, Trajectory, serialize_trajectory
 from trajtree.pipeline import StageConfig, process_instances
 from trajtree.scoring import pair_to_dict, scored_tree_to_dict
 from trajtree.synth import SynthConfig
 from trajtree.tree import tree_to_dict
 
-from conftest import make_traj
+from conftest import O_SEARCH, make_traj
 
 
 @pytest.fixture
@@ -194,6 +195,21 @@ class TestExitCodes:
             retained = (out / "retained.jsonl").read_bytes()
             assert b"NaN" not in retained and b"Infinity" not in retained, bad_line
 
+    def test_blank_action_after_cached_actions(self, tmp_path, corpus_path, capsys):
+        # the parse memoizes action keys; a blank action is still an error on
+        # every line it appears, after its trajectory's first action hit the memo
+        blank = make_traj("t9", [("search", O_SEARCH), (" \u3000\t\u2028", None)], 0)
+        lines = corpus_path.read_text(encoding="utf-8").splitlines()
+        corpus = _write_corpus(
+            tmp_path / "blank.jsonl", [*lines, serialize_trajectory(blank)] * 2
+        )
+        argv = ["ingest", "--input", str(corpus)]
+        assert main([*argv, "--out-dir", str(tmp_path / "strict")]) == 2
+        assert capsys.readouterr().err == "error: line 4: empty action after canonicalization\n"
+        assert main([*argv, "--out-dir", str(tmp_path / "lenient"), "--lenient"]) == 0
+        report = json.loads((tmp_path / "lenient" / "ingest_report.json").read_text())
+        assert report["malformed_skipped"] == 2 and report["retained"] == 3
+
     def test_duplicate_trajectory_id_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("".join(
@@ -319,6 +335,76 @@ class TestAll:
             else:
                 assert a[name] == b[name], name
 
+    # sha256 of every `all` file on small deep- and wide-shaped synth corpora
+    # (the shapes TestSynthFiles pins), recorded before the parse memo and the
+    # spliced retained/sft lines; they pin the bytes every later speed-up must keep
+    GOLDEN_SHAPES = {
+        "deep": ["--seed", "1", "--instances", "4", "--trajectories-per-instance", "40",
+                 "--depth", "30", "--branching", "2"],
+        "wide": ["--seed", "1", "--instances", "3", "--trajectories-per-instance", "60",
+                 "--depth", "12", "--branching", "8"],
+    }
+    GOLDEN_CONFIGS = {
+        "default": [],
+        "strict-max-min": ["--merge-mode", "strict", "--pair-mode", "max-min"],
+    }
+    GOLDEN = {
+        ("deep", "default"): {
+            "retained.jsonl": "b0a5424297e39403abeeaa5cf0ea017e58e9acf7a7e28c567c6ee4ab4e70c64e",
+            "ingest_report.json": "4d1b917e32a59cfa509d9b6ceafcd19139206408d12cbd81e4560e17e6b17785",
+            "trees.jsonl": "de51fef74ffe3127c9d2732df5fa8bb9b05717e9fac15183c203e3f8fdd971da",
+            "scored_trees.jsonl": "8baa0d6489e22706e78238f30b4a0121f8232d3e7eccfecc42fa77ad76e2b2ca",
+            "pairs.jsonl": "2ebbc2f437d9778474800dc65dacf0f1e2d51a0f761b68d6c85e83fb798cb5d3",
+            "sft.jsonl": "5e28cdf2e2538abe35afe328e2f7856a1dc8b0f5d8d3e43f4435b0be41dc746b",
+            "dpo.jsonl": "e741cb5ff637b90a59ea8ea676b6dff327c58e9ee7739c7df1bc0b70aabc639c",
+            "stats.json": "f155a8131b5f4cac320363dcdf378e733e440c111893a136d6461466b8a06152",
+        },
+        ("deep", "strict-max-min"): {
+            "retained.jsonl": "b0a5424297e39403abeeaa5cf0ea017e58e9acf7a7e28c567c6ee4ab4e70c64e",
+            "ingest_report.json": "8a57e044a47425f0b3e97d9ffcf7da394e39649d7c294f2a42414f2037827e71",
+            "trees.jsonl": "de51fef74ffe3127c9d2732df5fa8bb9b05717e9fac15183c203e3f8fdd971da",
+            "scored_trees.jsonl": "8baa0d6489e22706e78238f30b4a0121f8232d3e7eccfecc42fa77ad76e2b2ca",
+            "pairs.jsonl": "96e68d9a605071a462be0f791ea717560a60ebba39e04abd510ba2220fd675e9",
+            "sft.jsonl": "5e28cdf2e2538abe35afe328e2f7856a1dc8b0f5d8d3e43f4435b0be41dc746b",
+            "dpo.jsonl": "63fe0db205c8a64fb2564f902dbc233081388914ae1d764a9146abded4b40059",
+            "stats.json": "3bd05a0db79ed77d1faa8e7a57635a6bc46ba56f996b325653b4a5095699a7e4",
+        },
+        ("wide", "default"): {
+            "retained.jsonl": "41a1e9648f3d36271b1c66506ff00b31ac1442b83396ac5c891752881ce7cf32",
+            "ingest_report.json": "d6c0d9106e1bcacb60ad7538fbd94d91a9cc3029d260ed4065e03077c0d72174",
+            "trees.jsonl": "7e507b488a79d238959549ed9774361b52c7b7e2e395fd1121d84099ae5f2b6f",
+            "scored_trees.jsonl": "105170f24b6c75a708908e65c224eb0f7197a3c47ed9fb70fe998a6aa20245c3",
+            "pairs.jsonl": "738c8b8581ce48ce575e7cf9169880635a001c2f12ff643a6dd6a9f868d98504",
+            "sft.jsonl": "28716cca5d8d13ef03efa4daa216d2ba808bec2f303b0091ed1dd7fecd8b83be",
+            "dpo.jsonl": "fcda6e85879a8ebfb85682b97232a20da86871456660332dfd3708293c0e9515",
+            "stats.json": "6e6d93b59b8ca9fba6e423dd4796ae796f3c2a5bc239c36ddc0371833184d0e2",
+        },
+        ("wide", "strict-max-min"): {
+            "retained.jsonl": "41a1e9648f3d36271b1c66506ff00b31ac1442b83396ac5c891752881ce7cf32",
+            "ingest_report.json": "c56ff56536f2dffa7bae951efad3e6f31b8c4bdafb7b1a84a34fe1a65fd1e87b",
+            "trees.jsonl": "bb718bf4c116731710dc0bb6d7271f06ba30c0821ee0e875e333c02580c93e23",
+            "scored_trees.jsonl": "97855b0c9173578a3bdcd70bd5324ec58c638ccfd24d1a66da6f447833513be4",
+            "pairs.jsonl": "7b0192c6dbe69f989848f4a189f66850eea66ba1abb43a6961676d3b904691bd",
+            "sft.jsonl": "28716cca5d8d13ef03efa4daa216d2ba808bec2f303b0091ed1dd7fecd8b83be",
+            "dpo.jsonl": "cede95b08c71b0ad3f0d8c49b2bfdfe695f5813e0cd24d38b47b7d9cc6c700a8",
+            "stats.json": "57587fdae80cc8ff4a70c4eef2dba502b715b5262428db6fd1448565abf29710",
+        },
+    }
+
+    @pytest.mark.parametrize("shape", GOLDEN_SHAPES)
+    def test_golden_digests(self, shape, tmp_path):
+        synth_dir = tmp_path / "synth"
+        assert main(["synth", *self.GOLDEN_SHAPES[shape], "--out-dir", str(synth_dir)]) == 0
+        for config, flags in self.GOLDEN_CONFIGS.items():
+            out = tmp_path / config
+            argv = ["all", "--input", str(synth_dir / "corpus.jsonl"), "--out-dir", str(out)]
+            assert main([*argv, *flags]) == 0
+            got = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in COMMAND_OUTPUTS["all"]
+            }
+            assert got == self.GOLDEN[shape, config], config
+
     def test_byte_identical_across_runs_and_jobs(self, corpus_path, tmp_path):
         outputs = []
         for i, jobs in enumerate(("1", "1", "8")):
@@ -362,6 +448,35 @@ def awkward_corpora(draw):
     return ts
 
 
+def corpus_line_reference(t: Trajectory) -> str:
+    """serialize_trajectory's line as a record dict through json.dumps."""
+    steps = []
+    for step in t.steps:
+        record = {"action": step.action}
+        if step.observation is not None:
+            record["observation"] = step.observation
+        steps.append(record)
+    obj = {
+        "instance_id": t.instance_id,
+        "trajectory_id": t.trajectory_id,
+        "prompt": t.prompt,
+        "steps": steps,
+        "resolved": t.resolved,
+        "meta": t.meta,
+    }
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+any_text = st.text() | awkward_text
+# any JSON value, with awkward strings as text and keys
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | awkward_text, inner, max_size=3),
+    max_leaves=10,
+)
+
+
 class TestSplicedRenderers:
     """The dataset files, spliced per instance from shared encodings, equal the
     dict exports' bytes."""
@@ -370,6 +485,7 @@ class TestSplicedRenderers:
     @settings(max_examples=150, deadline=None)
     def test_match_dict_exports(self, ts, threshold):
         groups = group_by_instance(ts)
+        grouped = [t for group in groups.values() for t in group]
         for strict_merge in (False, True):
             for pair_mode in ("all-pairs", "max-min"):
                 stage = StageConfig(
@@ -386,6 +502,8 @@ class TestSplicedRenderers:
                     ),
                     "pairs.jsonl": jsonl([pair_to_dict(p) for p in pairs]),
                     "dpo.jsonl": jsonl([dpo_to_dict(e) for e in emit_dpo(pairs)]),
+                    "retained.jsonl": "".join(corpus_line_reference(t) + "\n" for t in grouped),
+                    "sft.jsonl": jsonl([sft_to_dict(e) for e in emit_sft(grouped)[0]]),
                 }
                 # as the CLI does: every file's lines from one _Instance per instance
                 run = cli._Run({}, None)
@@ -396,6 +514,19 @@ class TestSplicedRenderers:
                         got[name] += cli._LINES[name](run, inst)
                 for name, text in expected.items():
                     assert got[name] == text, (name, strict_merge, pair_mode)
+
+    @given(
+        st.dictionaries(st.text(max_size=6) | awkward_text, json_values, max_size=4),
+        st.lists(st.tuples(any_text, any_text), max_size=3),
+        st.tuples(any_text, st.none() | any_text),
+        any_text,
+        st.integers(0, 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_corpus_line_matches_dict_export(self, meta, body, last, text, resolved):
+        steps = tuple(Step(a, o) for a, o in body) + (Step(*last),)
+        t = Trajectory(text + "#i", text + "#t", text, steps, resolved, meta)
+        assert serialize_trajectory(t) == corpus_line_reference(t)
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -524,6 +655,14 @@ class TestLossCommand:
             path.write_bytes(good + bad)
             assert main(["loss", "--input", str(path)]) == 2, bad[:8]
             assert "line 2" in capsys.readouterr().err, bad[:8]
+
+    def test_too_long_integer_exits_2_with_its_length(self, tmp_path, capsys):
+        path = tmp_path / "loss_in.jsonl"
+        path.write_text('{"kind": "sft", "action_logps": [-' + "1" * 5000 + "]}\n", encoding="utf-8")
+        assert main(["loss", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: integer literal of 5000 digits is too long\n"
 
     def test_non_finite_sft_logp_exits_2(self, tmp_path, capsys):
         path = tmp_path / "loss_in.jsonl"

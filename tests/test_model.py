@@ -1,9 +1,12 @@
 import io
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from trajtree import model
 from trajtree.errors import InputError
 from trajtree.model import (
     CanonConfig,
@@ -28,6 +31,14 @@ VALID_LINE = json.dumps(
 )
 
 
+# the 29 code points str.isspace() accepts, which re's \s, str.split() and
+# str.strip() all treat as whitespace
+WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
 class TestCanonicalize:
     def test_trims_whitespace(self):
         assert canonicalize_action("  run_tests()\n").key == "run_tests()"
@@ -48,6 +59,27 @@ class TestCanonicalize:
     def test_empty_after_trim_is_error(self):
         with pytest.raises(InputError):
             canonicalize_action("   \n\t")
+
+    def test_unchanged_key_is_the_raw_string(self):
+        for raw in ("edit", "open a.py"):
+            assert canonicalize_action(raw).key is raw
+            assert canonicalize_action(raw, CanonConfig(collapse_whitespace=False)).key is raw
+
+    def test_whitespace_is_every_isspace_code_point(self):
+        assert WHITESPACE == "".join(
+            c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()
+        )
+        assert all(re.fullmatch(r"\s", c) for c in WHITESPACE)
+
+    @given(st.text(st.sampled_from(WHITESPACE + "ab_\u00e9\u4e2d"), max_size=12), st.booleans())
+    def test_key_is_the_regex_definition(self, raw, collapse):
+        expected = re.sub(r"\s+", " ", raw.strip()) if collapse else raw.strip()
+        config = CanonConfig(collapse_whitespace=collapse)
+        if not expected:
+            with pytest.raises(InputError):
+                canonicalize_action(raw, config)
+        else:
+            assert canonicalize_action(raw, config).key == expected
 
     @given(st.text(min_size=1).filter(lambda s: s.strip()))
     def test_idempotent(self, raw):
@@ -107,6 +139,27 @@ class TestParse:
         ts, _ = parse_trajectory_stream(io.StringIO("\n".join(lines)))
         assert [t.trajectory_id for t in ts] == [f"t{i}" for i in range(5)]
 
+    def test_key_memo_is_bounded(self, monkeypatch):
+        # a memo of two keys empties itself on the third distinct action and
+        # still gives every step its own key
+        monkeypatch.setattr(model, "_KEY_MEMO_SIZE", 2)
+        calls = []
+        original = model.canonicalize_action
+
+        def counting(raw, config):
+            calls.append(raw)
+            return original(raw, config)
+
+        monkeypatch.setattr(model, "canonicalize_action", counting)
+        actions = ["a  x", "b", "c\t", "a  x", "b", "b"]
+        line = json.dumps({
+            "instance_id": "i", "trajectory_id": "t", "prompt": "p", "resolved": 0,
+            "steps": [{"action": a, "observation": "o"} for a in actions],
+        })
+        (t,), _ = parse_trajectory_stream(io.StringIO(line + "\n"))
+        assert t.action_keys() == ("a x", "b", "c", "a x", "b", "b")
+        assert calls == ["a  x", "b", "c\t", "a  x", "b"]
+
 
 class TestActionKeys:
     def test_keys_per_config(self):
@@ -127,6 +180,12 @@ class TestInvariants:
     def test_resolved_must_be_binary(self):
         with pytest.raises(InputError):
             Trajectory("i", "t", "p", (Step("a"),), resolved=2)
+
+    def test_resolved_must_be_an_integer(self):
+        # the parser rejects these, so serialize_trajectory could not round-trip them
+        for resolved in (True, False, 1.0):
+            with pytest.raises(InputError, match="resolved must be integer 0 or 1"):
+                Trajectory("i", "t", "p", (Step("a"),), resolved=resolved)
 
     def test_steps_nonempty(self):
         with pytest.raises(InputError):

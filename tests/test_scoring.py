@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from trajtree.scoring import (
     score_nodes,
 )
 from trajtree.synth import brute_force_scores
-from trajtree.tree import ACTION, ROOT, TrajTree, TreeNode, build_tree
+from trajtree.tree import ACTION, LEAF, ROOT, TrajTree, TreeNode, build_tree, iter_path_nodes
 
 from conftest import O_EDIT, O_SEARCH, PROMPT, make_traj
 
@@ -80,6 +81,33 @@ class TestScoreNodes:
         by_key = scores_by_key(fixture_tree, scores)
         s = by_key["edit"][0]
         assert (s.successes, s.total) == oracle[("search", "edit")]
+
+    def test_child_ids_below_their_parents(self, fixture_trajectories):
+        # renumber so that every child's id is lower than its parent's
+        tree = build_tree("inst-fix-x", PROMPT, fixture_trajectories)
+        top = max(tree.nodes)
+        new = {node_id: top - node_id for node_id in tree.nodes}
+        nodes = {
+            new[n.node_id]: replace(
+                n,
+                node_id=new[n.node_id],
+                children=[new[c] for c in n.children],
+                parent_id=None if n.parent_id is None else new[n.parent_id],
+            )
+            for n in tree.nodes.values()
+        }
+        tree = replace(tree, nodes=nodes, root_id=new[tree.root_id])
+        assert all(c < n.node_id for n in nodes.values() for c in n.children)
+        scores = score_nodes(tree)
+        oracle = brute_force_scores(fixture_trajectories)
+        assert len(scores) == len(nodes)
+        for node in nodes.values():
+            s = scores[node.node_id]
+            if node.kind == LEAF:
+                assert (s.successes, s.total) == (node.outcome, 1)
+            else:
+                prefix = tuple(n.action_key for n in iter_path_nodes(tree, node.node_id))
+                assert (s.successes, s.total) == oracle[prefix], prefix
 
 
 class TestIdentifyCritical:
