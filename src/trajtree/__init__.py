@@ -1,85 +1,53 @@
 """Trajectory-tree preference mining: build prefix-merged trees from agent
 trajectories, score nodes by subtree success rate, extract critical action
-pairs, and emit masked-SFT / DPO datasets."""
+pairs, and emit masked-SFT / DPO datasets.
 
-from .emit import DpoExample, MaskedSegment, SftExample, emit_dpo, emit_sft, emit_stats
-from .errors import ConfigError, InputError, InvariantError, TrajtreeError
-from .ingest import (
-    IngestReport,
-    deduplicate,
-    filter_loops,
-    filter_outliers,
-    group_by_instance,
-    ingest_pipeline,
-    ingest_trajectories,
-)
-from .losses import DpoGrad, DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
-from .model import (
-    CanonConfig,
-    CanonicalAction,
-    Step,
-    Trajectory,
-    canonicalize_action,
-    parse_trajectory_stream,
-    serialize_trajectory,
-)
-from .scoring import (
-    CriticalPair,
-    NodeScore,
-    Segment,
-    extract_critical_pairs,
-    identify_critical_actions,
-    score_nodes,
-)
-from .synth import SynthConfig, brute_force_pairs, brute_force_scores, generate
-from .tree import TrajTree, TreeNode, build_tree, enumerate_paths, tree_stats
+Importing the package loads none of its modules: each public name is
+imported from its defining module on first access (PEP 562), so a
+program that never touches, say, the losses or the synthetic generator
+does not pay for them.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonConfig",
-    "CanonicalAction",
-    "ConfigError",
-    "CriticalPair",
-    "DpoExample",
-    "DpoGrad",
-    "DpoInputs",
-    "IngestReport",
-    "InputError",
-    "InvariantError",
-    "MaskedSegment",
-    "NodeScore",
-    "Segment",
-    "SftExample",
-    "Step",
-    "SynthConfig",
-    "TrajTree",
-    "Trajectory",
-    "TrajectoryLogProbs",
-    "TrajtreeError",
-    "TreeNode",
-    "brute_force_pairs",
-    "brute_force_scores",
-    "build_tree",
-    "canonicalize_action",
-    "deduplicate",
-    "dpo_loss",
-    "dpo_loss_grad",
-    "emit_dpo",
-    "emit_sft",
-    "emit_stats",
-    "enumerate_paths",
-    "extract_critical_pairs",
-    "filter_loops",
-    "filter_outliers",
-    "generate",
-    "group_by_instance",
-    "identify_critical_actions",
-    "ingest_pipeline",
-    "ingest_trajectories",
-    "parse_trajectory_stream",
-    "score_nodes",
-    "serialize_trajectory",
-    "sft_loss",
-    "tree_stats",
-]
+# defining module -> the public names it defines
+_MODULES = {
+    "emit": ("DpoExample", "MaskedSegment", "SftExample", "emit_dpo", "emit_sft", "emit_stats"),
+    "errors": ("ConfigError", "InputError", "InvariantError", "TrajtreeError"),
+    "ingest": (
+        "IngestReport", "deduplicate", "filter_loops", "filter_outliers", "group_by_instance",
+        "ingest_pipeline", "ingest_trajectories",
+    ),
+    "losses": (
+        "DpoGrad", "DpoInputs", "TrajectoryLogProbs", "dpo_loss", "dpo_loss_grad", "sft_loss",
+    ),
+    "model": (
+        "CanonConfig", "CanonicalAction", "Step", "Trajectory", "canonicalize_action",
+        "parse_trajectory_stream", "serialize_trajectory",
+    ),
+    "pipeline": ("SynthConfig",),
+    "scoring": (
+        "CriticalPair", "NodeScore", "Segment", "extract_critical_pairs",
+        "identify_critical_actions", "score_nodes",
+    ),
+    "synth": ("brute_force_pairs", "brute_force_scores", "generate"),
+    "tree": ("TrajTree", "TreeNode", "build_tree", "enumerate_paths", "tree_stats"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -4,6 +4,10 @@ Subcommands cover each stage plus `all` (full pipeline) and `selfcheck`
 (synthetic corpus vs. brute-force oracles). Exit codes: 0 success,
 1 usage/config error, 2 invalid input data, 3 internal invariant
 violation.
+
+A command loads only the modules it runs: the synthetic generator (and
+with it hashlib), the loss math and the stats summary are imported by
+the commands that use them.
 """
 
 from __future__ import annotations
@@ -21,16 +25,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .emit import stats_from_paths
 from .errors import ConfigError, InputError, InvariantError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
-from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
 from .model import (
     CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories, serialize_trajectory,
 )
-from .pipeline import InstanceResult, StageConfig, process_instance, selfcheck
+from .pipeline import InstanceResult, StageConfig, SynthConfig, process_instance, selfcheck
 from .scoring import format_rational
-from .synth import SynthConfig, iter_instances, render_truth, truth_chunks
 from .tree import path_lengths, tree_to_dict
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
@@ -338,12 +339,19 @@ _LINES: dict[str, Callable[[_Run, _Instance], str]] = {
     ),
 }
 
+
+def _stats_doc(run: _Run) -> str:
+    from .emit import stats_from_paths  # only the commands that write stats.json
+
+    return run.with_config(stats_from_paths(
+        run.report, run.paths, run.instances, run.pair_count, run.divergences
+    ))
+
+
 # file -> the whole-corpus document written after the last instance
 _DOCS: dict[str, Callable[[_Run], str]] = {
     "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
-    "stats.json": lambda run: run.with_config(stats_from_paths(
-        run.report, run.paths, run.instances, run.pair_count, run.divergences
-    )),
+    "stats.json": _stats_doc,
 }
 
 
@@ -462,6 +470,8 @@ def _synth_config(args, config) -> SynthConfig:
 def cmd_synth(args, config) -> int:
     """Write each instance's corpus lines as it is generated; keep only its
     rendered ground-truth record, and write the ground truth at the end."""
+    from .synth import iter_instances, render_truth, truth_chunks
+
     synth_config = _synth_config(args, config)
     instances = iter_instances(synth_config)  # validates before the out dir is made
     records: dict[str, str] = {}
@@ -480,24 +490,41 @@ def cmd_selfcheck(args, config) -> int:
     return EXIT_OK
 
 
-def _loss_record(obj: Any, default_reduction: str) -> dict[str, Any]:
-    if not isinstance(obj, dict):
-        raise InputError("loss record is not an object")
-    kind = obj.get("kind")
-    if kind == "sft":
-        lp = TrajectoryLogProbs(
-            action_logps=tuple(obj["action_logps"]),
-            observation_logps=tuple(obj.get("observation_logps", ())),
-        )
-        loss = sft_loss(lp, reduction=obj.get("reduction", default_reduction))
-        return {"kind": "sft", "loss": loss}
-    if kind == "dpo":
-        x = DpoInputs(**{f.name: float(obj[f.name]) for f in fields(DpoInputs)})
-        return {"kind": "dpo", "loss": dpo_loss(x), "grad": asdict(dpo_loss_grad(x))}
-    raise InputError(f"loss record kind must be 'sft' or 'dpo', got {kind!r}")
+def _number(value: Any, name: str, index: int | None = None) -> int | float:
+    # json decodes a number to exactly int or float, and true to bool (an int
+    # subclass); float() would also take true and " 1e1 "
+    if type(value) not in (int, float):
+        label = name if index is None else f"{name}[{index}]"
+        raise InputError(f"{label} must be a JSON number, got {value!r}")
+    return value
+
+
+def _numbers(value: Any, name: str) -> tuple[int | float, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a JSON array, got {value!r}")
+    return tuple(_number(v, name, i) for i, v in enumerate(value))
 
 
 def cmd_loss(args, config) -> int:
+    from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
+
+    def loss_record(obj: Any) -> dict[str, Any]:
+        """One record's result; every log-prob and beta must be a JSON number."""
+        if not isinstance(obj, dict):
+            raise InputError("loss record is not an object")
+        kind = obj.get("kind")
+        if kind == "sft":
+            lp = TrajectoryLogProbs(
+                action_logps=_numbers(obj["action_logps"], "action_logps"),
+                observation_logps=_numbers(obj.get("observation_logps", []), "observation_logps"),
+            )
+            loss = sft_loss(lp, reduction=obj.get("reduction", config["sft_reduction"]))
+            return {"kind": "sft", "loss": loss}
+        if kind == "dpo":
+            x = DpoInputs(**{f.name: float(_number(obj[f.name], f.name)) for f in fields(DpoInputs)})
+            return {"kind": "dpo", "loss": dpo_loss(x), "grad": asdict(dpo_loss_grad(x))}
+        raise InputError(f"loss record kind must be 'sft' or 'dpo', got {kind!r}")
+
     lines_out = []
     try:
         with open(args.input, "rb") as fh:
@@ -510,7 +537,7 @@ def cmd_loss(args, config) -> int:
                     obj = json.loads(line, parse_int=_int)
                     # allow_nan=False: a non-finite result is an error, never `Infinity`
                     lines_out.append(json.dumps(
-                        _loss_record(obj, config["sft_reduction"]),
+                        loss_record(obj),
                         ensure_ascii=False, separators=(",", ":"), allow_nan=False,
                     ) + "\n")
                 # ConfigError: the record's own beta or reduction is invalid

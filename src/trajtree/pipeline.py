@@ -1,7 +1,9 @@
-"""Stage orchestration shared by the CLI: per-instance processing and selfcheck.
+"""Stage orchestration shared by the CLI: the stage and synth configs,
+per-instance processing and selfcheck.
 
 Tree building, scoring and pair extraction run one instance at a time,
-in first-appearance instance order.
+in first-appearance instance order. Only `selfcheck` needs the synthetic
+generator and its brute-force oracles, so it imports them itself.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .errors import InvariantError
+from .errors import ConfigError, InvariantError
 from .ingest import ingest_trajectories
 from .model import CanonConfig, Trajectory
 from .scoring import (
@@ -22,7 +24,6 @@ from .scoring import (
     identify_critical_actions,
     score_nodes,
 )
-from .synth import SynthConfig, brute_force_pairs, brute_force_scores, generate
 from .tree import ACTION, LEAF, TrajTree, build_tree, enumerate_paths
 
 
@@ -34,6 +35,34 @@ class StageConfig:
     strict_merge: bool = False
     critical_threshold: Fraction = DEFAULT_THRESHOLD
     pair_mode: str = ALL_PAIRS
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """Shape of a `trajtree.synth` corpus; the synth and selfcheck flags are its fields."""
+
+    seed: int = 0
+    instances: int = 10
+    branching: int = 3
+    depth: int = 6
+    trajectories_per_instance: int = 6
+    planted_critical: int = 1
+    loop_rate: float = 0.1
+    outlier_rate: float = 0.1
+    duplicate_rate: float = 0.1
+    divergent_observations: bool = False
+
+    def validate(self) -> None:
+        if self.depth < 1:
+            raise ConfigError("depth must be >= 1")
+        if min(self.instances, self.trajectories_per_instance, self.planted_critical) < 0:
+            raise ConfigError("counts must be >= 0")
+        if self.branching < 1:
+            raise ConfigError("branching must be >= 1")
+        for name in ("loop_rate", "outlier_rate", "duplicate_rate"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {p}")
 
 
 @dataclass
@@ -110,6 +139,8 @@ def selfcheck(synth_config: SynthConfig) -> dict[str, Any]:
     Raises InvariantError on any disagreement; returns a summary record.
     Uses default filtration parameters to match the generated ground truth.
     """
+    from .synth import brute_force_pairs, brute_force_scores, generate
+
     corpus, truth = generate(synth_config)
     groups, report = ingest_trajectories(corpus)
     stage = StageConfig()

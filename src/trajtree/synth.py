@@ -6,46 +6,19 @@ so they can independently check node scoring and pair extraction.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
 
-from .errors import ConfigError
 from .model import CanonConfig, Step, Trajectory
+from .pipeline import SynthConfig  # defined with StageConfig; importable from here too
 from .scoring import DEFAULT_THRESHOLD
 
 PREFIX_JOIN = ""  # unit separator; cannot appear in canonical keys we generate
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    seed: int = 0
-    instances: int = 10
-    branching: int = 3
-    depth: int = 6
-    trajectories_per_instance: int = 6
-    planted_critical: int = 1
-    loop_rate: float = 0.1
-    outlier_rate: float = 0.1
-    duplicate_rate: float = 0.1
-    divergent_observations: bool = False
-
-    def validate(self) -> None:
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
-        if min(self.instances, self.trajectories_per_instance, self.planted_critical) < 0:
-            raise ConfigError("counts must be >= 0")
-        if self.branching < 1:
-            raise ConfigError("branching must be >= 1")
-        for name in ("loop_rate", "outlier_rate", "duplicate_rate"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
 
 
 def _attach_observations(
@@ -59,6 +32,8 @@ def _attach_observations(
 ) -> Trajectory:
     """The observation after the first k actions is `obs[instance_id:k:digest]`,
     digest being the sha1 of those actions joined by "|", from one running hash."""
+    import hashlib  # loads libcrypto; only synthesis hashes anything
+
     suffix = f":{trajectory_id}" if divergent else ""
     prefix_hash = hashlib.sha1()
     separator = b""

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import sys
@@ -682,6 +683,48 @@ class TestLossCommand:
             assert main(["loss", "--input", str(path)]) == 2, sign
             captured = capsys.readouterr()
             assert captured.out == "" and "line 1" in captured.err, sign
+
+    DPO = {"kind": "dpo", "policy_chosen": -1, "policy_rejected": -2,
+           "ref_chosen": -1, "ref_rejected": -2, "beta": 0.1}
+
+    @pytest.mark.parametrize("record, message", [
+        ({**DPO, "policy_chosen": " 1e1 "}, "policy_chosen must be a JSON number, got ' 1e1 '"),
+        ({**DPO, "beta": "0.5"}, "beta must be a JSON number, got '0.5'"),
+        ({**DPO, "policy_chosen": True}, "policy_chosen must be a JSON number, got True"),
+        ({**DPO, "ref_rejected": None}, "ref_rejected must be a JSON number, got None"),
+        ({"kind": "sft", "action_logps": [False, -1]},
+         "action_logps[0] must be a JSON number, got False"),
+        ({"kind": "sft", "action_logps": [-1, "-2"]},
+         "action_logps[1] must be a JSON number, got '-2'"),
+        ({"kind": "sft", "action_logps": {}}, "action_logps must be a JSON array, got {}"),
+        ({"kind": "sft", "action_logps": "-1"}, "action_logps must be a JSON array, got '-1'"),
+        ({"kind": "sft", "action_logps": [-1], "observation_logps": "abc"},
+         "observation_logps must be a JSON array, got 'abc'"),
+        ({"kind": "sft", "action_logps": [-1], "observation_logps": {"a": 1}},
+         "observation_logps must be a JSON array, got {'a': 1}"),
+        ({"kind": "sft", "action_logps": [-1], "observation_logps": [-1, [2]]},
+         "observation_logps[1] must be a JSON number, got [2]"),
+    ])
+    def test_non_number_exits_2_naming_its_line(self, tmp_path, capsys, record, message):
+        path = tmp_path / "loss_in.jsonl"
+        good = '{"kind": "sft", "action_logps": [-1.0]}\n'
+        path.write_text(good + json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["loss", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 2: {message}\n"
+
+    def test_integers_and_empty_observations_are_numbers(self, tmp_path, capsys):
+        path = tmp_path / "loss_in.jsonl"
+        path.write_text(
+            json.dumps({**self.DPO, "beta": 1}) + "\n"
+            + '{"kind": "sft", "action_logps": [-1, -2.5], "observation_logps": []}\n',
+            encoding="utf-8",
+        )
+        assert main(["loss", "--input", str(path)]) == 0
+        dpo, sft = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        assert dpo["loss"] == pytest.approx(math.log(2))
+        assert sft == {"kind": "sft", "loss": 3.5}
 
     def test_output_file(self, tmp_path):
         path = tmp_path / "loss_in.jsonl"
