@@ -2,10 +2,10 @@
 trajectories, score nodes by subtree success rate, extract critical action
 pairs, and emit masked-SFT / DPO datasets.
 
-Importing the package loads none of its modules: each public name is
-imported from its defining module on first access (PEP 562), so a
-program that never touches, say, the losses or the synthetic generator
-does not pay for them.
+Importing the package loads none of its modules: each public name, and
+each submodule as an attribute (`trajtree.synth`), is imported on first
+access (PEP 562), so a program that never touches, say, the losses or
+the synthetic generator does not pay for them.
 """
 
 import importlib
@@ -40,9 +40,15 @@ _EXPORTS = {name: module for module, names in _MODULES.items() for name in names
 __all__ = sorted(_EXPORTS)
 
 
+# every submodule, so `trajtree.synth` works without importing it first
+_SUBMODULES = ("cli", *_MODULES)
+
+
 def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:
+        if name in _SUBMODULES:
+            return importlib.import_module(f".{name}", __name__)  # binds the attribute
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value  # later lookups skip this hook
@@ -50,4 +56,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_SUBMODULES})

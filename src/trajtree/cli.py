@@ -6,8 +6,8 @@ Subcommands cover each stage plus `all` (full pipeline) and `selfcheck`
 violation.
 
 A command loads only the modules it runs: the synthetic generator (and
-with it hashlib), the loss math and the stats summary are imported by
-the commands that use them.
+with it hashlib) and the loss math are imported by the commands that
+use them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
+from .emit import stats_from_paths
 from .errors import ConfigError, InputError, InvariantError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .model import (
@@ -339,19 +340,12 @@ _LINES: dict[str, Callable[[_Run, _Instance], str]] = {
     ),
 }
 
-
-def _stats_doc(run: _Run) -> str:
-    from .emit import stats_from_paths  # only the commands that write stats.json
-
-    return run.with_config(stats_from_paths(
-        run.report, run.paths, run.instances, run.pair_count, run.divergences
-    ))
-
-
 # file -> the whole-corpus document written after the last instance
 _DOCS: dict[str, Callable[[_Run], str]] = {
     "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
-    "stats.json": _stats_doc,
+    "stats.json": lambda run: run.with_config(stats_from_paths(
+        run.report, run.paths, run.instances, run.pair_count, run.divergences
+    )),
 }
 
 

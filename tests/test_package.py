@@ -38,6 +38,18 @@ class TestLazyPackage:
         assert "trajtree" in loaded
         assert [name for name in loaded if name.startswith("trajtree.")] == []
 
+    def test_submodule_attribute_loads_it(self):
+        # a fresh interpreter, so no earlier import has bound the attribute
+        loaded = json.loads(run_fresh(
+            "import json, sys, trajtree\n"
+            "assert trajtree.synth.generate is trajtree.generate\n"
+            "assert callable(trajtree.cli.main)\n"
+            "assert {'synth', 'cli', 'losses'} <= set(dir(trajtree))\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        ))
+        assert {"trajtree.synth", "trajtree.cli"} <= set(loaded)
+        assert "trajtree.losses" not in loaded
+
     def test_oracles_load_no_hashlib(self):
         # only generating a corpus hashes anything
         loaded = json.loads(run_fresh(
@@ -130,8 +142,6 @@ class TestCommandModules:
         )
         assert "trajtree.cli" in loaded
         assert loaded.isdisjoint(HEAVY), sorted(loaded.intersection(HEAVY))
-        # only the commands that write stats.json load the summary
-        assert ("trajtree.emit" in loaded) == (command in ("all", "stats"))
         assert (out / "trees.jsonl").exists() == (command in ("all", "tree"))
 
     def test_loss_loads_losses_but_no_hashing_or_synth(self, tmp_path):
