@@ -338,16 +338,24 @@ class TestAll:
 
     # sha256 of every `all` file on small deep- and wide-shaped synth corpora
     # (the shapes TestSynthFiles pins), recorded before the parse memo and the
-    # spliced retained/sft lines; they pin the bytes every later speed-up must keep
+    # spliced retained/sft lines; they pin the bytes every later speed-up must keep.
+    # The divergent shape and the threshold-raw-lenient config were recorded
+    # before the flat (per-node list) trees
     GOLDEN_SHAPES = {
         "deep": ["--seed", "1", "--instances", "4", "--trajectories-per-instance", "40",
                  "--depth", "30", "--branching", "2"],
         "wide": ["--seed", "1", "--instances", "3", "--trajectories-per-instance", "60",
                  "--depth", "12", "--branching", "8"],
+        # every merge diverges on its observation: pins divergence counting and strict merge
+        "divergent": ["--seed", "1", "--instances", "3", "--trajectories-per-instance", "40",
+                      "--depth", "12", "--branching", "3", "--divergent-observations"],
     }
     GOLDEN_CONFIGS = {
         "default": [],
         "strict-max-min": ["--merge-mode", "strict", "--pair-mode", "max-min"],
+        "threshold-raw-lenient": [
+            "--critical-threshold", "0.3", "--no-collapse-whitespace", "--lenient",
+        ],
     }
     GOLDEN = {
         ("deep", "default"): {
@@ -389,6 +397,56 @@ class TestAll:
             "sft.jsonl": "28716cca5d8d13ef03efa4daa216d2ba808bec2f303b0091ed1dd7fecd8b83be",
             "dpo.jsonl": "cede95b08c71b0ad3f0d8c49b2bfdfe695f5813e0cd24d38b47b7d9cc6c700a8",
             "stats.json": "57587fdae80cc8ff4a70c4eef2dba502b715b5262428db6fd1448565abf29710",
+        },
+        ("deep", "threshold-raw-lenient"): {
+            "retained.jsonl": "b0a5424297e39403abeeaa5cf0ea017e58e9acf7a7e28c567c6ee4ab4e70c64e",
+            "ingest_report.json": "368972d4ff6bafda4614e37e9c94811779a8cd928aca213d1b9cc2b1e97284dc",
+            "trees.jsonl": "de51fef74ffe3127c9d2732df5fa8bb9b05717e9fac15183c203e3f8fdd971da",
+            "scored_trees.jsonl": "8baa0d6489e22706e78238f30b4a0121f8232d3e7eccfecc42fa77ad76e2b2ca",
+            "pairs.jsonl": "563aa37a18c866c4c5f16d64363bf45cf8cad1e817365fa4e40ace6fb721491b",
+            "sft.jsonl": "5e28cdf2e2538abe35afe328e2f7856a1dc8b0f5d8d3e43f4435b0be41dc746b",
+            "dpo.jsonl": "63ae6b7bbfe8e803d27d7a59954a0e3766e804f9caeb6a5881b560355f25c2e5",
+            "stats.json": "3a7914af8b0cff35b8b9ce001c99500dd8b3bc55fdcb4c731e9fe6aa4e5ea155",
+        },
+        ("wide", "threshold-raw-lenient"): {
+            "retained.jsonl": "41a1e9648f3d36271b1c66506ff00b31ac1442b83396ac5c891752881ce7cf32",
+            "ingest_report.json": "997de0ee103c50d4228d194bfd8a628e12f55867903291f5bc4e74ee572bb4bf",
+            "trees.jsonl": "7e507b488a79d238959549ed9774361b52c7b7e2e395fd1121d84099ae5f2b6f",
+            "scored_trees.jsonl": "105170f24b6c75a708908e65c224eb0f7197a3c47ed9fb70fe998a6aa20245c3",
+            "pairs.jsonl": "0caa8348f4512573081529fe28f44c9dbeca7f8d20e5f53a07fd4dd3af8df415",
+            "sft.jsonl": "28716cca5d8d13ef03efa4daa216d2ba808bec2f303b0091ed1dd7fecd8b83be",
+            "dpo.jsonl": "2c5e93cf2738112caa07600994b47c7201b5048dfdc9e57c7e71c0d2a48d9205",
+            "stats.json": "9c4f9bd8fd15d33221274657043a036529674a28d25682bddefe39050645198e",
+        },
+        ("divergent", "default"): {
+            "retained.jsonl": "802af0f3020b515f9d2e20f3a99e938c7cd6fcf6874915dfa00dc6d194a29de4",
+            "ingest_report.json": "8ef01ad0b2a36a68b87491d820f2f9a65c47040b11d171306b6c0e4c0029dd5e",
+            "trees.jsonl": "ae3c3fd256b507d8a869927f7b4338b295c8432cce0201b932264b156937df7d",
+            "scored_trees.jsonl": "e67de8b6ba41088d375cd076bd6ad000047da2d564dacd7ea6d49a44c6162dc1",
+            "pairs.jsonl": "c378c8ddd8b59e43f1472046458c6249065388360cf32ed3f2aa2697a6bc2380",
+            "sft.jsonl": "3f15dfdbbe2c30c1a785d45e159ef86e7724cf48e75131e2de20e82b17cd3080",
+            "dpo.jsonl": "3a353726dcccbc73ae62e42cbedd997da9654346af1464ed43b8de9ea7ab9134",
+            "stats.json": "dd179eb9a4fffea5c2897cd35e54cb089d56fdaa5a833dd188d663ab5b59328a",
+        },
+        ("divergent", "strict-max-min"): {
+            "retained.jsonl": "802af0f3020b515f9d2e20f3a99e938c7cd6fcf6874915dfa00dc6d194a29de4",
+            "ingest_report.json": "7cfca8a9d9c9dba6e47ea19aefe6a209a7d852255872af30d64bd3319c40e90f",
+            "trees.jsonl": "a10b4430ea4b1093fec54854f49f125c7b5b92036da37e59598d48c1b9cd8072",
+            "scored_trees.jsonl": "a27d1bf6ccc11bdb1a481f9087edc23ca0dfd6d733360c37f5b9b814b5597e19",
+            "pairs.jsonl": "2bfd440db03f74b3f999edefd01d34877d25a24a1201c1f9cc28fae08866a51c",
+            "sft.jsonl": "3f15dfdbbe2c30c1a785d45e159ef86e7724cf48e75131e2de20e82b17cd3080",
+            "dpo.jsonl": "bd6e0e68c1cf76f0c37634e912af9d415b71e4ffaa294cfda28c448b5ef57b78",
+            "stats.json": "6f592a9b0db9857c24148371d60f181a9ebc0910f1a693ba5db6ec61681ffbd0",
+        },
+        ("divergent", "threshold-raw-lenient"): {
+            "retained.jsonl": "802af0f3020b515f9d2e20f3a99e938c7cd6fcf6874915dfa00dc6d194a29de4",
+            "ingest_report.json": "07f052978f1b6071aea4d7c25d49510655cd26f2d3600ed64e2eeb0b7728d0d2",
+            "trees.jsonl": "ae3c3fd256b507d8a869927f7b4338b295c8432cce0201b932264b156937df7d",
+            "scored_trees.jsonl": "e67de8b6ba41088d375cd076bd6ad000047da2d564dacd7ea6d49a44c6162dc1",
+            "pairs.jsonl": "84b8743c89c7fe8c70d53bc6fbbd56d712eae59a6a3a630ad2b234be41d4a838",
+            "sft.jsonl": "3f15dfdbbe2c30c1a785d45e159ef86e7724cf48e75131e2de20e82b17cd3080",
+            "dpo.jsonl": "64a88c3e362c12cf530c420edeccaa888665f964a32047a0741626c73eba354b",
+            "stats.json": "f64fec0478cab9ca3f18d5db835502c381f0343e35a7bbe37388cef03f439662",
         },
     }
 
