@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -31,9 +31,9 @@ from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .model import (
     CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories, serialize_trajectory,
 )
-from .pipeline import InstanceResult, StageConfig, SynthConfig, process_instance, selfcheck
-from .scoring import format_rational
-from .tree import path_lengths, tree_to_dict
+from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
+from .scoring import format_ratio, format_rational
+from .tree import LEAF, ROOT, TrajTree, path_ids, path_lengths
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
 
@@ -103,12 +103,18 @@ def _validate_config(config: dict[str, Any]) -> None:
 
 
 def parse_threshold(value: Any) -> Fraction:
-    """The exact rational a threshold was written as: a JSON float such as
-    0.3 is the decimal 3/10, not its nearest binary value."""
+    """The exact rational a threshold was written as: a JSON float such as 0.3
+    is the decimal 3/10. Its terms must fit the 4,300 digits an int formats,
+    and a larger exponent is refused before Fraction builds its power of ten."""
+    text = repr(value) if isinstance(value, float) else value
     try:
-        return Fraction(repr(value) if isinstance(value, float) else value)
+        if isinstance(text, str) and abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+            raise ValueError("exponent out of range")
+        threshold = Fraction(text)
+        format_rational(threshold)  # ValueError past the digit limit
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad critical_threshold {value!r}") from exc
+    return threshold
 
 
 def stage_config(config: dict[str, Any]) -> StageConfig:
@@ -175,10 +181,6 @@ def atomic_write(path: Path, text: str) -> None:
         files[path.name].write(text)
 
 
-def _nullable(text: str | None) -> str:
-    return "null" if text is None else _string(text)
-
-
 def jsonl(records: list[dict[str, Any]]) -> str:
     return "".join(_encode(r) + "\n" for r in records)
 
@@ -202,69 +204,90 @@ COMMAND_OUTPUTS["all"] = tuple(name for row in COMMAND_OUTPUTS.values() for name
 
 @dataclass
 class _Instance:
-    """One instance's trajectories and, built on first use, its tree, scores and pairs.
-
-    Every output file's lines for the instance are rendered from it; it is
-    dropped before the next instance's tree is built.
-    """
+    """One instance's trajectories and, built on first use, its mined tree and
+    the pieces every file's lines for it are spliced from. It is dropped
+    before the next instance's tree is built."""
 
     instance_id: str
     ts: list[Trajectory]
     stage: StageConfig
 
     @cached_property
-    def result(self) -> InstanceResult:
-        return process_instance(self.instance_id, self.ts, self.stage)
+    def mined(self) -> tuple[TrajTree, list[int], list[int], list[tuple[int, int, int]]]:
+        return mine_instance(self.instance_id, self.ts, self.stage)
 
     @cached_property
     def tree_parts(self) -> tuple[str, list[str]]:
-        """The tree_to_dict record up to `"nodes":[`, and each node's JSON.
-
-        trees.jsonl and scored_trees.jsonl are spliced from these, so the
-        tree head and each node are encoded once. Node JSON is formatted
-        field by field, as the compact encoder writes it.
-        """
-        tree = self.result.tree
-        nodes = [
-            f'{{"node_id":{n.node_id},"kind":{_string(n.kind)}'
-            f',"action_key":{_nullable(n.action_key)},"action_raw":{_nullable(n.action_raw)}'
-            f',"observation":{_nullable(n.observation)}'
-            f',"children":[{",".join(map(str, n.children))}]'
-            f',"outcome":{"null" if n.outcome is None else n.outcome}'
-            f',"trajectory_id":{_nullable(n.trajectory_id)}}}'
-            for n in (tree.nodes[node_id] for node_id in sorted(tree.nodes))
-        ]
-        return _encode(tree_to_dict(replace(tree, nodes={})))[: -len("]}")], nodes
+        """The tree_to_dict record up to `"nodes":[`, and each node's JSON, for
+        trees.jsonl and scored_trees.jsonl: formatted field by field from the
+        tree's lists, as the compact encoder writes them."""
+        tree = self.mined[0]
+        raw, obs, tid = tree.action_raw, tree.observation, tree.trajectory_id
+        nodes = []
+        for node_id, (key, children, outcome) in enumerate(
+            zip(tree.action_key, tree.children, tree.outcome)
+        ):
+            if key is None:  # the root or a leaf
+                kind = f'"{ROOT if outcome is None else LEAF}","action_key":null,"action_raw":null'
+                text = None
+            else:
+                kind = f'"action","action_key":{_string(key)},"action_raw":{_string(raw[node_id])}'
+                text = obs[node_id]
+            nodes.append(
+                f'{{"node_id":{node_id},"kind":{kind}'
+                f',"observation":{"null" if text is None else _string(text)}'
+                f',"children":[{",".join(map(str, children))}]'
+                f',"outcome":{"null" if outcome is None else outcome}'
+                f',"trajectory_id":{"null" if outcome is None else _string(tid[node_id])}}}'
+            )
+        head = (
+            f'{{"instance_id":{_string(tree.instance_id)},"prompt":{_string(tree.prompt)}'
+            f',"root_id":{tree.root_id},"path_count":{tree.path_count}'
+            f',"trajectory_ids":[{",".join(map(_string, tree.trajectory_ids))}]'
+            f',"observation_divergences":{tree.observation_divergences},"nodes":['
+        )
+        return head, nodes
 
     @cached_property
     def pair_parts(self) -> list[tuple[str, str, str, str]]:
         """Per pair: `{"instance_id":…`, `,"parent_node_id":N`, `,"context":[…]`
-        and `,"chosen":…}` with its newline.
-
-        A pairs.jsonl line joins all four; a dpo.jsonl line, the same
-        record without parent_node_id, skips the second. Each distinct
-        parent's context array is encoded once and shared.
-        """
+        (encoded once per parent) and `,"chosen":…}` with its newline. A
+        pairs.jsonl line joins all four; a dpo.jsonl line skips the second."""
+        tree, successes, totals, triples = self.mined
         head = '{"instance_id":' + _string(self.instance_id)
         contexts: dict[int, str] = {}
+        # node id -> its raw action's JSON, and its score as "num/den" and as the
+        # encoder writes float(Fraction(s, n)), which is s / n: repr(s / n)
+        texts: dict[int, tuple[str, str, str]] = {}
         parts = []
-        for p in self.result.pairs:
-            context = contexts.get(p.parent_node_id)
-            if context is None:
-                context = ',"context":' + _encode(
-                    [{"role": s.role, "content": s.content} for s in p.context]
-                )
-                contexts[p.parent_node_id] = context
-            # the encoder writes a finite float as its repr()
+        for parent_id, chosen, rejected in triples:
+            if parent_id not in contexts:
+                contexts[parent_id] = _context(tree, parent_id)
+            for i in (chosen, rejected):
+                if i not in texts:
+                    s, n = successes[i], totals[i]
+                    texts[i] = (_string(tree.action_raw[i]), format_ratio(s, n), repr(s / n))
+            chosen_raw, chosen_ratio, chosen_decimal = texts[chosen]
+            rejected_raw, rejected_ratio, rejected_decimal = texts[rejected]
             tail = (
-                f',"chosen":{_string(p.chosen)},"rejected":{_string(p.rejected)}'
-                f',"score_chosen":"{format_rational(p.score_chosen)}"'
-                f',"score_rejected":"{format_rational(p.score_rejected)}"'
-                f',"score_chosen_decimal":{float(p.score_chosen)!r}'
-                f',"score_rejected_decimal":{float(p.score_rejected)!r}}}\n'
+                f',"chosen":{chosen_raw},"rejected":{rejected_raw}'
+                f',"score_chosen":"{chosen_ratio}","score_rejected":"{rejected_ratio}"'
+                f',"score_chosen_decimal":{chosen_decimal}'
+                f',"score_rejected_decimal":{rejected_decimal}}}\n'
             )
-            parts.append((head, f',"parent_node_id":{p.parent_node_id}', context, tail))
+            parts.append((head, f',"parent_node_id":{parent_id}', contexts[parent_id], tail))
         return parts
+
+
+def _context(tree: TrajTree, parent_id: int) -> str:
+    """`,"context":[…]` of the pairs below `parent_id`: the prompt, then each
+    path node's action and observation, as the compact encoder writes them."""
+    segments = "".join(
+        f',{{"role":"action","content":{_string(tree.action_raw[node_id])}}}'
+        f',{{"role":"observation","content":{_string(tree.observation[node_id])}}}'
+        for node_id in path_ids(tree, parent_id)
+    )
+    return f',"context":[{{"role":"prompt","content":{_string(tree.prompt)}}}{segments}]'
 
 
 @dataclass
@@ -280,10 +303,11 @@ class _Run:
     divergences: int = 0
     sft_examples: int = 0
 
-    def summarize(self, result: InstanceResult) -> None:
-        self.paths.extend(path_lengths(result.tree))
-        self.pair_count += len(result.pairs)
-        self.divergences += result.tree.observation_divergences
+    def summarize(self, inst: _Instance) -> None:
+        tree, _, _, triples = inst.mined
+        self.paths.extend(path_lengths(tree))
+        self.pair_count += len(triples)
+        self.divergences += tree.observation_divergences
 
     def with_config(self, doc: dict[str, Any]) -> str:
         doc["effective_config"] = echo_config(self.config)
@@ -293,11 +317,10 @@ class _Run:
 def _scored_tree_line(run: _Run, inst: _Instance) -> str:
     """Each node's trees.jsonl JSON with scored_tree_to_dict's columns spliced in."""
     head, nodes = inst.tree_parts
-    r = inst.result
+    _, successes, totals, _ = inst.mined
     scored = (
-        f'{node[:-1]},"successes":{s.successes},"total":{s.total},'
-        f'"score":"{s.successes}/{s.total}"}}'
-        for node, s in zip(nodes, (r.scores[node_id] for node_id in sorted(r.tree.nodes)))
+        f'{node[:-1]},"successes":{s},"total":{n},"score":"{s}/{n}"}}'
+        for node, s, n in zip(nodes, successes, totals)
     )
     return head + ",".join(scored) + "]}\n"
 
@@ -331,9 +354,7 @@ _LINES: dict[str, Callable[[_Run, _Instance], str]] = {
     "retained.jsonl": lambda run, inst: "".join(serialize_trajectory(t) + "\n" for t in inst.ts),
     "trees.jsonl": lambda run, inst: inst.tree_parts[0] + ",".join(inst.tree_parts[1]) + "]}\n",
     "scored_trees.jsonl": _scored_tree_line,
-    "pairs.jsonl": lambda run, inst: "".join(
-        piece for part in inst.pair_parts for piece in part
-    ),
+    "pairs.jsonl": lambda run, inst: "".join(piece for part in inst.pair_parts for piece in part),
     "sft.jsonl": _sft_lines,
     "dpo.jsonl": lambda run, inst: "".join(
         piece for head, _, context, tail in inst.pair_parts for piece in (head, context, tail)
@@ -355,7 +376,7 @@ def _write_instance(run: _Run, files: dict[str, TextIO], inst: _Instance) -> Non
             fh.write(_LINES[name](run, inst))
     run.instances += 1
     if "stats.json" in files:
-        run.summarize(inst.result)
+        run.summarize(inst)
 
 
 class _Restart(Exception):
@@ -462,18 +483,18 @@ def _synth_config(args, config) -> SynthConfig:
 
 
 def cmd_synth(args, config) -> int:
-    """Write each instance's corpus lines as it is generated; keep only its
-    rendered ground-truth record, and write the ground truth at the end."""
+    """Write each instance's corpus lines as it is generated, and its rendered
+    ground-truth record as soon as every name that sorts before it is written."""
     from .synth import iter_instances, render_truth, truth_chunks
 
     synth_config = _synth_config(args, config)
     instances = iter_instances(synth_config)  # validates before the out dir is made
-    records: dict[str, str] = {}
     with output_files(Path(args.out_dir), ("corpus.jsonl", "ground_truth.json")) as files:
-        for ts, truth in instances:
-            files["corpus.jsonl"].write("".join(serialize_trajectory(t) + "\n" for t in ts))
-            records[truth["instance_id"]] = render_truth(truth)
-        files["ground_truth.json"].writelines(truth_chunks(synth_config, records))
+        def records() -> Iterator[tuple[str, str]]:  # writes each instance's corpus lines
+            for ts, truth in instances:
+                files["corpus.jsonl"].write("".join(serialize_trajectory(t) + "\n" for t in ts))
+                yield truth["instance_id"], render_truth(truth)
+        files["ground_truth.json"].writelines(truth_chunks(synth_config, records()))
     return EXIT_OK
 
 

@@ -57,13 +57,7 @@ def emit_sft(trajectories: Iterable[Trajectory]) -> tuple[list[SftExample], int]
             segments.append(MaskedSegment("action", step.action, loss=True))
             if step.observation is not None:
                 segments.append(MaskedSegment("observation", step.observation, loss=False))
-        out.append(
-            SftExample(
-                instance_id=t.instance_id,
-                trajectory_id=t.trajectory_id,
-                segments=tuple(segments),
-            )
-        )
+        out.append(SftExample(t.instance_id, t.trajectory_id, tuple(segments)))
     warnings = 1 if saw_any and not out else 0
     return out, warnings
 
@@ -71,14 +65,7 @@ def emit_sft(trajectories: Iterable[Trajectory]) -> tuple[list[SftExample], int]
 def emit_dpo(pairs: Iterable[CriticalPair]) -> list[DpoExample]:
     """Mirror extracted pairs in extraction order (instance, parent node, pair index)."""
     return [
-        DpoExample(
-            instance_id=p.instance_id,
-            context=p.context,
-            chosen=p.chosen,
-            rejected=p.rejected,
-            score_chosen=p.score_chosen,
-            score_rejected=p.score_rejected,
-        )
+        DpoExample(p.instance_id, p.context, p.chosen, p.rejected, p.score_chosen, p.score_rejected)
         for p in pairs
     ]
 
@@ -89,13 +76,9 @@ def emit_stats(
     pairs: list[CriticalPair],
 ) -> dict[str, Any]:
     """Single statistics record: corpus counts plus ingest removal counts."""
-    return stats_from_paths(
-        report,
-        [p for tree in trees for p in path_lengths(tree)],
-        len(trees),
-        len(pairs),
-        sum(t.observation_divergences for t in trees),
-    )
+    paths = [p for tree in trees for p in path_lengths(tree)]
+    divergences = sum(t.observation_divergences for t in trees)
+    return stats_from_paths(report, paths, len(trees), len(pairs), divergences)
 
 
 def stats_from_paths(

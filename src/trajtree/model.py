@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -75,16 +75,24 @@ def canonicalize_action(raw: str, config: CanonConfig = CanonConfig()) -> Canoni
     return CanonicalAction(key=raw if key == raw else key, raw=raw)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One agent action and the environment's reply.
 
     observation may be absent only on a trajectory's final step
-    (e.g. a submission that gets no environment response).
+    (e.g. a submission that gets no environment response). A named tuple,
+    cheap to build, that equals only a Step with equal fields.
     """
 
     action: str
     observation: str | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Step and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -135,16 +143,19 @@ def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) ->
         raise InputError("steps must be a non-empty array")
     steps = []
     keys = []
+    last = len(raw_steps) - 1
     for i, raw in enumerate(raw_steps):
-        if not isinstance(raw, dict) or not isinstance(raw.get("action"), str):
+        action = raw.get("action") if isinstance(raw, dict) else None
+        if not isinstance(action, str):
             raise InputError(f"step {i} lacks a string action")
         obs = raw.get("observation")
-        if obs is not None and not isinstance(obs, str):
+        if obs is None:
+            if i != last:
+                raise InputError(f"step {i} is non-final but has no observation")
+        elif not isinstance(obs, str):
             raise InputError(f"step {i} observation is not a string")
-        if obs is None and i != len(raw_steps) - 1:
-            raise InputError(f"step {i} is non-final but has no observation")
-        keys.append(key_of(raw["action"]))  # rejects blank actions
-        steps.append(Step(action=raw["action"], observation=obs))
+        keys.append(key_of(action))  # rejects blank actions
+        steps.append(tuple.__new__(Step, (action, obs)))  # Step(action, obs), but cheaper
     meta = obj.get("meta") or {}
     if not isinstance(meta, dict):
         raise InputError("meta must be an object")
@@ -152,15 +163,12 @@ def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) ->
     for key, value in obj.items():
         if key not in _KNOWN_FIELDS:
             meta[key] = value  # unknown fields survive round-trips via meta
-    t = Trajectory(
-        instance_id=obj["instance_id"],
-        trajectory_id=obj["trajectory_id"],
-        prompt=obj["prompt"],
-        steps=tuple(steps),
-        resolved=resolved,
-        meta=meta,
+    # __post_init__'s checks were all made above: set the fields without __init__
+    t = object.__new__(Trajectory)
+    t.__dict__.update(
+        instance_id=obj["instance_id"], trajectory_id=obj["trajectory_id"], prompt=obj["prompt"],
+        steps=tuple(steps), resolved=resolved, meta=meta, _keys={canon: tuple(keys)},
     )
-    t._keys[canon] = tuple(keys)
     return t
 
 

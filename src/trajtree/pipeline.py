@@ -16,15 +16,10 @@ from .errors import ConfigError, InvariantError
 from .ingest import ingest_trajectories
 from .model import CanonConfig, Trajectory
 from .scoring import (
-    ALL_PAIRS,
-    DEFAULT_THRESHOLD,
-    CriticalPair,
-    NodeScore,
-    extract_critical_pairs,
-    identify_critical_actions,
-    score_nodes,
+    ALL_PAIRS, DEFAULT_THRESHOLD, CriticalPair, NodeScore, critical_triples, distinct_triples,
+    extract_critical_pairs, score_nodes, subtree_counts,
 )
-from .tree import ACTION, LEAF, TrajTree, build_tree, enumerate_paths
+from .tree import TrajTree, build_tree, enumerate_paths, path_ids
 
 
 @dataclass(frozen=True)
@@ -72,47 +67,39 @@ class InstanceResult:
     pairs: list[CriticalPair] = field(default_factory=list)
 
 
+def mine_instance(
+    instance_id: str, ts: list[Trajectory], config: StageConfig
+) -> tuple[TrajTree, list[int], list[int], list[tuple[int, int, int]]]:
+    """One instance's tree, its `subtree_counts` and its distinct critical triples."""
+    tree = build_tree(instance_id, ts[0].prompt, ts, config.canon, config.strict_merge)
+    successes, totals = subtree_counts(tree)
+    triples = critical_triples(tree, successes, totals, config.critical_threshold, config.pair_mode)
+    return tree, successes, totals, distinct_triples(tree, triples)
+
+
 def process_instance(instance_id: str, ts: list[Trajectory], config: StageConfig) -> InstanceResult:
-    """Tree, scores and pairs of one instance."""
-    tree = build_tree(
-        instance_id, ts[0].prompt, ts, canon=config.canon, strict_merge=config.strict_merge
-    )
+    """`mine_instance` as a tree, `NodeScore`s and `CriticalPair`s."""
+    tree, _, _, triples = mine_instance(instance_id, ts, config)
     scores = score_nodes(tree)
-    triples = identify_critical_actions(
-        tree, scores, threshold=config.critical_threshold, pair_mode=config.pair_mode
-    )
-    pairs = extract_critical_pairs(tree, triples, scores, canon=config.canon)
-    return InstanceResult(tree=tree, scores=scores, pairs=pairs)
+    return InstanceResult(tree, scores, extract_critical_pairs(tree, triples, scores))
 
 
 def process_instances(
     groups: dict[str, list[Trajectory]], config: StageConfig
 ) -> dict[str, InstanceResult]:
     """`process_instance` per instance, in the groups' key order."""
-    return {
-        instance_id: process_instance(instance_id, ts, config)
-        for instance_id, ts in groups.items()
-    }
+    return {name: process_instance(name, ts, config) for name, ts in groups.items()}
 
 
 def node_prefix_scores(
     tree: TrajTree, scores: dict[int, NodeScore]
 ) -> dict[tuple[str, ...], tuple[int, int]]:
     """Node scores keyed by canonical action prefix (action-only merge mode)."""
-    out: dict[tuple[str, ...], tuple[int, int]] = {}
-    stack: list[tuple[int, tuple[str, ...]]] = [(tree.root_id, ())]
-    while stack:
-        node_id, prefix = stack.pop()
-        node = tree.nodes[node_id]
-        if node.kind == LEAF:
-            continue
-        if node.kind == ACTION:
-            assert node.action_key is not None
-            prefix = prefix + (node.action_key,)
-        score = scores[node_id]
-        out[prefix] = (score.successes, score.total)
-        stack.extend((c, prefix) for c in node.children)
-    return out
+    return {
+        tuple(tree.action_key[i] for i in path_ids(tree, node_id)): (s.successes, s.total)
+        for node_id, s in scores.items()
+        if tree.outcome[node_id] is None
+    }
 
 
 def pairs_as_prefix_set(
@@ -120,17 +107,14 @@ def pairs_as_prefix_set(
 ) -> set[tuple[tuple[str, ...], str, str]]:
     from .model import canonicalize_action
 
-    out = set()
-    for p in pairs:
-        prefix = tuple(
-            canonicalize_action(s.content, canon).key
-            for s in p.context
-            if s.role == "action"
-        )
-        chosen = canonicalize_action(p.chosen, canon).key
-        rejected = canonicalize_action(p.rejected, canon).key
-        out.add((prefix, chosen, rejected))
-    return out
+    def key(text: str) -> str:
+        return canonicalize_action(text, canon).key
+
+    return {
+        (tuple(key(s.content) for s in p.context if s.role == "action"),
+         key(p.chosen), key(p.rejected))
+        for p in pairs
+    }
 
 
 def selfcheck(synth_config: SynthConfig) -> dict[str, Any]:

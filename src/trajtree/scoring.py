@@ -1,19 +1,23 @@
 """Node scoring by subtree success fraction and critical action extraction.
 
 Scores are exact rationals (successful paths / total paths through the
-subtree); two sibling actions form a critical pair when their scores
-differ by strictly more than the threshold (default 1/2).
+subtree), kept as two integer lists per tree; two sibling actions form a
+critical pair when their scores differ by strictly more than the threshold
+(default 1/2). `NodeScore` and `CriticalPair` are library views of those
+integers and of node-id triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Any
 
 from .errors import ConfigError, InvariantError
 from .model import CanonConfig
-from .tree import ACTION, LEAF, TrajTree, iter_path_nodes
+from .tree import TrajTree, path_ids, tree_to_dict
 
 DEFAULT_THRESHOLD = Fraction(1, 2)
 
@@ -27,7 +31,7 @@ class NodeScore:
     successes: int
     total: int
 
-    @property
+    @cached_property  # made once however many pairs a node is in
     def value(self) -> Fraction:
         return Fraction(self.successes, self.total)
 
@@ -49,37 +53,31 @@ class CriticalPair:
     parent_node_id: int
 
 
-def score_nodes(tree: TrajTree) -> dict[int, NodeScore]:
-    """Subtree counts: leaf = its outcome over 1, internal = sum over children."""
-    nodes = tree.nodes
-    # breadth-first order puts every node after its parent, whatever the ids;
-    # iterative, as real trajectories can exceed the recursion limit
-    order = [tree.root_id]
-    for node_id in order:
-        order.extend(nodes[node_id].children)
-    counts: dict[int, tuple[int, int]] = {}
-    for node_id in reversed(order):  # children before their parent
-        node = nodes[node_id]
-        if node.kind == LEAF:
-            assert node.outcome is not None
-            counts[node_id] = (node.outcome, 1)
-            continue
-        successes = total = 0
-        for child_id in node.children:
-            s, n = counts[child_id]
-            successes += s
-            total += n
-        counts[node_id] = (successes, total)
-    if counts[tree.root_id][1] != tree.path_count:
+def subtree_counts(tree: TrajTree) -> tuple[list[int], list[int]]:
+    """Successes and totals per node id: a leaf is its outcome over 1, an inner
+    node the sum over its children, in one sweep up `TrajTree.order`."""
+    successes = [outcome or 0 for outcome in tree.outcome]
+    totals = [0 if outcome is None else 1 for outcome in tree.outcome]
+    parent = tree.parent
+    for node_id in reversed(tree.order[1:]):  # children before their parent
+        successes[parent[node_id]] += successes[node_id]
+        totals[parent[node_id]] += totals[node_id]
+    if totals[tree.root_id] != tree.path_count:
         raise InvariantError(
-            f"root path total {counts[tree.root_id][1]} != path_count {tree.path_count}"
+            f"root path total {totals[tree.root_id]} != path_count {tree.path_count}"
         )
-    return {node_id: NodeScore(node_id, s, n) for node_id, (s, n) in counts.items()}
+    return successes, totals
 
 
-def identify_critical_actions(
+def score_nodes(tree: TrajTree) -> dict[int, NodeScore]:
+    """`subtree_counts` as one `NodeScore` per node id."""
+    return {i: NodeScore(i, s, n) for i, (s, n) in enumerate(zip(*subtree_counts(tree)))}
+
+
+def critical_triples(
     tree: TrajTree,
-    scores: dict[int, NodeScore],
+    successes: list[int],
+    totals: list[int],
     threshold: Fraction = DEFAULT_THRESHOLD,
     pair_mode: str = ALL_PAIRS,
 ) -> list[tuple[int, int, int]]:
@@ -96,16 +94,20 @@ def identify_critical_actions(
         raise ConfigError(f"unknown pair mode {pair_mode!r}")
     # a/b - c/d > num/den  <=>  (a*d - c*b) * den > num * b * d, all integers
     num, den = threshold.numerator, threshold.denominator
+    key, children = tree.action_key, tree.children
     triples: list[tuple[int, int, int]] = []
     stack = [tree.root_id]
     while stack:
         node_id = stack.pop()
-        node = tree.nodes[node_id]
-        action_children = [c for c in node.children if tree.nodes[c].kind == ACTION]
+        if len(children[node_id]) == 1:  # most nodes: the walk goes on or stops
+            if key[children[node_id][0]] is not None:
+                stack.append(children[node_id][0])
+            continue
+        action_children = [c for c in children[node_id] if key[c] is not None]
         stack.extend(reversed(action_children))
         if len(action_children) < 2:
             continue
-        counts = [(c, scores[c].successes, scores[c].total) for c in action_children]
+        counts = [(c, successes[c], totals[c]) for c in action_children]
         if pair_mode == MAX_MIN:
             hi = lo = counts[0]  # first maximum and first minimum, as max()/min() pick
             for cur in counts[1:]:
@@ -127,83 +129,85 @@ def identify_critical_actions(
     return triples
 
 
+def identify_critical_actions(
+    tree: TrajTree,
+    scores: dict[int, NodeScore],
+    threshold: Fraction = DEFAULT_THRESHOLD,
+    pair_mode: str = ALL_PAIRS,
+) -> list[tuple[int, int, int]]:
+    """`critical_triples` on `NodeScore`s."""
+    successes, totals = [0] * len(tree.parent), [0] * len(tree.parent)
+    for node_id, score in scores.items():
+        successes[node_id], totals[node_id] = score.successes, score.total
+    return critical_triples(tree, successes, totals, threshold, pair_mode)
+
+
+def distinct_triples(
+    tree: TrajTree, triples: list[tuple[int, int, int]]
+) -> list[tuple[int, int, int]]:
+    """The triples whose pair differs after canonicalization (action keys on
+    the parent's path, chosen key, rejected key), each at its first
+    occurrence. Every node on a parent's path must carry an observation."""
+    key, obs = tree.action_key, tree.observation
+    paths: dict[int, tuple[str, ...]] = {}  # parent id -> the action keys on its path
+    seen: set[tuple] = set()
+    out = []
+    for triple in triples:
+        parent_id, chosen, rejected = triple
+        path = paths.get(parent_id)
+        if path is None:
+            ids = path_ids(tree, parent_id)
+            if any(obs[i] is None for i in ids):
+                message = f"context of node {parent_id} in {tree.instance_id!r} lacks observations"
+                raise InvariantError(message)
+            path = paths[parent_id] = tuple(key[i] for i in ids)
+        signature = (path, key[chosen], key[rejected])
+        if signature not in seen:
+            seen.add(signature)
+            out.append(triple)
+    return out
+
+
 def extract_critical_pairs(
     tree: TrajTree,
     triples: list[tuple[int, int, int]],
     scores: dict[int, NodeScore],
     canon: CanonConfig = CanonConfig(),
 ) -> list[CriticalPair]:
-    """Materialize pairs with their shared raw-text context prefix.
-
-    Pairs identical after canonicalization (context + chosen + rejected)
-    are emitted once, keeping the first occurrence. The canonical form is
-    the nodes' stored action keys, which build_tree computed under the
-    same `canon`; the parameter is kept for callers that pass it.
-    """
-    pairs: list[CriticalPair] = []
-    seen: set[tuple] = set()
-    # parent id -> (context segments, action keys on the path), built once per parent
-    contexts: dict[int, tuple[tuple[Segment, ...], tuple[str, ...]]] = {}
-    values: dict[int, Fraction] = {}  # node id -> its score, made once per node
-    for parent_id, chosen_id, rejected_id in triples:
+    """`distinct_triples` as pairs with their shared raw-text context prefix.
+    `canon` is unused (build_tree stored the keys), kept for callers."""
+    raw, obs = tree.action_raw, tree.observation
+    contexts: dict[int, tuple[Segment, ...]] = {}  # parent id -> its context, made once
+    pairs = []
+    for parent_id, chosen, rejected in distinct_triples(tree, triples):
         if parent_id not in contexts:
-            contexts[parent_id] = _context(tree, parent_id)
-        context, path_keys = contexts[parent_id]
-        chosen = tree.nodes[chosen_id]
-        rejected = tree.nodes[rejected_id]
-        assert chosen.action_raw is not None and rejected.action_raw is not None
-        signature = (path_keys, chosen.action_key, rejected.action_key)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        for node_id in (chosen_id, rejected_id):
-            if node_id not in values:
-                values[node_id] = scores[node_id].value
-        pairs.append(
-            CriticalPair(
-                instance_id=tree.instance_id,
-                context=context,
-                chosen=chosen.action_raw,
-                rejected=rejected.action_raw,
-                score_chosen=values[chosen_id],
-                score_rejected=values[rejected_id],
-                parent_node_id=parent_id,
-            )
-        )
+            segments = [Segment("prompt", tree.prompt)]
+            for i in path_ids(tree, parent_id):
+                segments += (Segment("action", raw[i]), Segment("observation", obs[i]))
+            contexts[parent_id] = tuple(segments)
+        pairs.append(CriticalPair(
+            tree.instance_id, contexts[parent_id], raw[chosen], raw[rejected],
+            scores[chosen].value, scores[rejected].value, parent_id,
+        ))
     return pairs
-
-
-def _context(tree: TrajTree, parent_id: int) -> tuple[tuple[Segment, ...], tuple[str, ...]]:
-    """Raw-text context up to and including parent_id, plus its canonical key path."""
-    segments = [Segment("prompt", tree.prompt)]
-    keys = []
-    for node in iter_path_nodes(tree, parent_id):
-        assert node.action_raw is not None and node.action_key is not None
-        if node.observation is None:
-            raise InvariantError(
-                f"context node {node.node_id} in {tree.instance_id!r} "
-                "lacks an observation"
-            )
-        segments.append(Segment("action", node.action_raw))
-        segments.append(Segment("observation", node.observation))
-        keys.append(node.action_key)
-    return tuple(segments), tuple(keys)
 
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_ratio(successes: int, total: int) -> str:
+    """`format_rational(Fraction(successes, total))` without the Fraction."""
+    g = gcd(successes, total)
+    return f"{successes // g}/{total // g}"
+
+
 def scored_tree_to_dict(tree: TrajTree, scores: dict[int, NodeScore]) -> dict[str, Any]:
     """Tree export with per-node score columns joined on."""
-    from .tree import tree_to_dict
-
     out = tree_to_dict(tree)
     for node in out["nodes"]:
-        score = scores[node["node_id"]]
-        node["successes"] = score.successes
-        node["total"] = score.total
-        node["score"] = f"{score.successes}/{score.total}"
+        s, n = scores[node["node_id"]].successes, scores[node["node_id"]].total
+        node.update(successes=s, total=n, score=f"{s}/{n}")
     return out
 
 

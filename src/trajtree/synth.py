@@ -61,7 +61,7 @@ def _generate_instance(
 ) -> tuple[list[Trajectory], dict[str, Any]]:
     # per-instance derived seed keeps generation order-independent across instances
     rng = random.Random(f"{config.seed}:{index}")
-    instance_id = f"inst{index:04d}"
+    instance_id = f"inst{index:04d}"  # as truth_chunks expects
     prompt = f"Task {instance_id}: make the failing check pass."
     prefix = ["d0:inspect"]
     tpi = config.trajectories_per_instance
@@ -242,18 +242,24 @@ def render_truth(truth: dict[str, Any]) -> str:
     return _RECORD + _string(truth["instance_id"]) + ": " + _block("{}", fields, _RECORD)
 
 
-def truth_chunks(config: SynthConfig, records: dict[str, str]) -> Iterator[str]:
+def truth_chunks(config: SynthConfig, records: Iterable[tuple[str, str]]) -> Iterator[str]:
     """ground_truth.json in pieces: the config, then the `render_truth`
-    entries in sorted-name order (from 10,000 instances on, index order is
-    not name order)."""
+    entries of the (name, entry) records in sorted-name order, each as soon
+    as every name the config generates that sorts before it has been (at
+    once below 10,000 instances). Names it does not generate wait for the end."""
     head = json.dumps({"config": asdict(config)}, ensure_ascii=False, indent=2, sort_keys=True)
     yield head[: -len("\n}")] + ',\n  "instances": {'
-    separator = "\n"
-    for name in sorted(records):
-        yield separator
-        yield records[name]
+    names = iter(sorted(f"inst{i:04d}" for i in range(config.instances)))  # as generated
+    following, pending, separator = next(names, None), {}, "\n"
+    for name, record in records:
+        pending[name] = record
+        while following in pending:
+            yield separator + pending.pop(following)
+            following, separator = next(names, None), ",\n"
+    for name in sorted(pending):
+        yield separator + pending[name]
         separator = ",\n"
-    yield "\n  }\n}\n" if records else "}\n}\n"
+    yield "}\n}\n" if separator == "\n" else "\n  }\n}\n"
 
 
 def brute_force_scores(

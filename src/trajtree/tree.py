@@ -3,12 +3,16 @@
 Internal nodes are actions (merged on canonical action key by default),
 leaves carry the binary outcome of one retained trajectory. Every
 root-to-leaf path reproduces exactly one retained trajectory.
+
+A tree is parallel lists indexed by node id; `TrajTree.nodes` is a
+`TreeNode` view of them, built when a library caller reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from functools import cached_property
+from typing import Any
 
 from .errors import InputError
 from .model import CanonConfig, Trajectory
@@ -19,7 +23,7 @@ LEAF = "leaf"
 
 
 @dataclass
-class TreeNode:
+class TreeNode:  # one node as `TrajTree.nodes` presents it
     node_id: int
     kind: str  # root | action | leaf
     action_key: str | None = None
@@ -35,11 +39,38 @@ class TreeNode:
 class TrajTree:
     instance_id: str
     prompt: str
-    nodes: dict[int, TreeNode]
-    root_id: int
     path_count: int
     trajectory_ids: list[str]
-    observation_divergences: int = 0  # merges where recorded observations disagreed
+    observation_divergences: int  # merges where recorded observations disagreed
+    # per node id: an action node has a key, a leaf an outcome, the root neither
+    parent: list[int]  # -1 at the root
+    action_key: list[str | None]
+    action_raw: list[str | None]  # first-merged occurrence, preserved verbatim
+    observation: list[str | None]
+    outcome: list[int | None]
+    trajectory_id: list[str | None]  # leaves only (provenance)
+    children: list[list[int]]
+    root_id: int = 0
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Node ids breadth-first, so every node comes after its parent, whatever the ids."""
+        order = [self.root_id]
+        for node_id in order:
+            order.extend(self.children[node_id])
+        return order
+
+    @cached_property
+    def nodes(self) -> dict[int, TreeNode]:
+        """The lists as one `TreeNode` per node id, for library callers."""
+        return {
+            i: TreeNode(
+                i, ACTION if key is not None else ROOT if outcome is None else LEAF,
+                key, self.action_raw[i], self.observation[i], list(self.children[i]), outcome,
+                self.trajectory_id[i], None if i == self.root_id else self.parent[i],
+            )
+            for i, (key, outcome) in enumerate(zip(self.action_key, self.outcome))
+        }
 
 
 def build_tree(
@@ -51,17 +82,20 @@ def build_tree(
 ) -> TrajTree:
     """Insert each trajectory along shared-prefix action nodes, then append its leaf.
 
+    Every node gets the next free id, so a child's id is above its parent's.
     strict_merge widens the merge key from the canonical action to
     (action, observation), for nondeterministic environments.
     """
     if not ts:
         raise InputError(f"instance {instance_id!r} has no trajectories")
-    root = TreeNode(node_id=0, kind=ROOT)
-    nodes = {0: root}
+    # per node: (parent, action key, raw action, outcome, trajectory id); the
+    # observation, which a later merge may fill in, and the children apart
+    rows: list[tuple] = [(-1, None, None, None, None)]
+    obs: list[str | None] = [None]
+    children: list[list[int]] = [[]]
     # (parent id, action key[, observation]) -> the action child it merges into
-    merged: dict[tuple, TreeNode] = {}
+    merged: dict[tuple, int] = {}
     divergences = 0
-    next_id = 1
     seen_ids: set[str] = set()
     for t in ts:
         if t.instance_id != instance_id:
@@ -76,99 +110,67 @@ def build_tree(
         seen_ids.add(t.trajectory_id)
         if t.prompt != prompt:
             raise InputError(f"prompt mismatch in instance {instance_id!r}")
-        cur = root
-        for key, step in zip(t.action_keys(canon), t.steps):
-            merge_key = (
-                (cur.node_id, key, step.observation) if strict_merge else (cur.node_id, key)
-            )
-            match = merged.get(merge_key)
-            if match is None:
-                match = TreeNode(
-                    node_id=next_id,
-                    kind=ACTION,
-                    action_key=key,
-                    action_raw=step.action,
-                    observation=step.observation,
-                    parent_id=cur.node_id,
-                )
-                nodes[next_id] = match
-                merged[merge_key] = match
-                cur.children.append(next_id)
-                next_id += 1
-            else:
-                if match.observation is None:
-                    match.observation = step.observation
-                elif step.observation is not None and step.observation != match.observation:
+        cur = 0
+        for key, (action, observation) in zip(t.action_keys(canon), t.steps):
+            merge_key = (cur, key, observation) if strict_merge else (cur, key)
+            node = merged.get(merge_key)
+            if node is None:
+                node = merged[merge_key] = len(rows)
+                children[cur].append(node)
+                rows.append((cur, key, action, None, None))
+                obs.append(observation)
+                children.append([])
+            elif observation is not None:
+                if obs[node] is None:
+                    obs[node] = observation
+                elif observation != obs[node]:
                     divergences += 1  # keep first-seen text
-            cur = match
-        leaf = TreeNode(
-            node_id=next_id,
-            kind=LEAF,
-            outcome=t.resolved,
-            trajectory_id=t.trajectory_id,
-            parent_id=cur.node_id,
-        )
-        nodes[next_id] = leaf
-        cur.children.append(next_id)
-        next_id += 1
+            cur = node
+        children[cur].append(len(rows))
+        rows.append((cur, None, None, t.resolved, t.trajectory_id))
+        obs.append(None)
+        children.append([])
+    parent, key, raw, outcome, tid = map(list, zip(*rows))
     return TrajTree(
-        instance_id=instance_id,
-        prompt=prompt,
-        nodes=nodes,
-        root_id=0,
-        path_count=len(ts),
-        trajectory_ids=[t.trajectory_id for t in ts],
-        observation_divergences=divergences,
+        instance_id, prompt, len(ts), [t.trajectory_id for t in ts], divergences,
+        parent, key, raw, obs, outcome, tid, children,
     )
 
 
 def enumerate_paths(tree: TrajTree) -> list[tuple[tuple[str, ...], int, str]]:
-    """Depth-first, child-order-stable list of (action keys, outcome, trajectory_id)."""
-    out: list[tuple[tuple[str, ...], int, str]] = []
-    # explicit stack: trajectories can be long
-    stack: list[tuple[int, tuple[str, ...]]] = [(tree.root_id, ())]
-    while stack:
-        node_id, prefix = stack.pop()
-        node = tree.nodes[node_id]
-        if node.kind == LEAF:
-            assert node.outcome is not None and node.trajectory_id is not None
-            out.append((prefix, node.outcome, node.trajectory_id))
-            continue
-        if node.kind == ACTION:
-            assert node.action_key is not None
-            prefix = prefix + (node.action_key,)
-        for child_id in reversed(node.children):
-            stack.append((child_id, prefix))
-    return out
+    """(action keys, outcome, trajectory_id) per leaf, in leaf id order."""
+    return [
+        (tuple(tree.action_key[i] for i in path_ids(tree, tree.parent[leaf])), outcome,
+         tree.trajectory_id[leaf])
+        for leaf, outcome in enumerate(tree.outcome)
+        if outcome is not None
+    ]
 
 
-def iter_path_nodes(tree: TrajTree, node_id: int) -> Iterator[TreeNode]:
-    """Action nodes on the root-to-node path, in root-first order (node included)."""
+def path_ids(tree: TrajTree, node_id: int) -> list[int]:
+    """Action node ids on the root-to-node path, in root-first order (node included)."""
     path = []
-    cur = tree.nodes[node_id]
-    while cur.node_id != tree.root_id:
-        path.append(cur)
-        assert cur.parent_id is not None
-        cur = tree.nodes[cur.parent_id]
-    yield from reversed(path)
+    while node_id != tree.root_id:
+        path.append(node_id)
+        node_id = tree.parent[node_id]
+    path.reverse()
+    return path
 
 
 def path_lengths(tree: TrajTree) -> list[tuple[int, int, int]]:
-    """(char length, step count, outcome) per root-to-leaf path."""
+    """(char length, step count, outcome) per root-to-leaf path, from one
+    top-down pass that gives each action node its prefix's lengths."""
+    chars, depth = [0] * len(tree.parent), [0] * len(tree.parent)
+    chars[tree.root_id] = len(tree.prompt)
     out = []
-    stack: list[tuple[int, int, int]] = [(tree.root_id, len(tree.prompt), 0)]
-    while stack:
-        node_id, chars, depth = stack.pop()
-        node = tree.nodes[node_id]
-        if node.kind == LEAF:
-            out.append((chars, depth, node.outcome or 0))
-            continue
-        if node.kind == ACTION:
-            chars += len(node.action_raw or "")
-            chars += len(node.observation or "")
-            depth += 1
-        for child_id in node.children:
-            stack.append((child_id, chars, depth))
+    parent, raw, obs, outcome = tree.parent, tree.action_raw, tree.observation, tree.outcome
+    for node_id in tree.order[1:]:
+        up = parent[node_id]
+        if outcome[node_id] is not None:
+            out.append((chars[up], depth[up], outcome[node_id]))
+        else:
+            chars[node_id] = chars[up] + len(raw[node_id]) + len(obs[node_id] or "")
+            depth[node_id] = depth[up] + 1
     return out
 
 
@@ -209,17 +211,9 @@ def tree_to_dict(tree: TrajTree) -> dict[str, Any]:
         "path_count": tree.path_count,
         "trajectory_ids": list(tree.trajectory_ids),
         "observation_divergences": tree.observation_divergences,
-        "nodes": [
-            {
-                "node_id": node.node_id,
-                "kind": node.kind,
-                "action_key": node.action_key,
-                "action_raw": node.action_raw,
-                "observation": node.observation,
-                "children": list(node.children),
-                "outcome": node.outcome,
-                "trajectory_id": node.trajectory_id,
-            }
-            for node in (tree.nodes[nid] for nid in sorted(tree.nodes))
+        "nodes": [  # in id order
+            {k: list(v) if k == "children" else v
+             for k, v in vars(node).items() if k != "parent_id"}
+            for node in tree.nodes.values()
         ],
     }

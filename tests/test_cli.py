@@ -9,7 +9,7 @@ import stat
 import sys
 import threading
 import weakref
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,6 +90,23 @@ class TestExitCodes:
             ])
             assert code == 1, (config_text, flags)
             assert capsys.readouterr().err.startswith("error: "), (config_text, flags)
+
+    @pytest.mark.parametrize("threshold", ["1e-5000", "1e-100000"])
+    def test_threshold_beyond_the_digit_limit_exits_1(
+        self, threshold, corpus_path, tmp_path, capsys
+    ):
+        # the echoed "num/den" would need more digits than an int formats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"critical_threshold": threshold}), encoding="utf-8")
+        for how, config_args, flags in (
+            ("flag", [], ["--critical-threshold", threshold]),
+            ("file", ["--config", str(cfg)], []),
+        ):
+            out = tmp_path / how
+            argv = ["all", "--input", str(corpus_path), "--out-dir", str(out), *flags]
+            assert main([*config_args, *argv]) == 1, how
+            assert capsys.readouterr().err == f"error: bad critical_threshold '{threshold}'\n", how
+            assert not out.exists(), how
 
     def test_config_not_utf8_exits_1(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -598,16 +615,15 @@ class TestSplicedRenderers:
     def test_all_encodes_each_context_once(self, tmp_path, monkeypatch):
         synth_dir = tmp_path / "synth"
         assert main(["synth", "--seed", "5", "--instances", "30", "--out-dir", str(synth_dir)]) == 0
-        original = cli._encode
+        original = cli._context
         contexts = 0
 
-        def counting(obj):
+        def counting(*args):
             nonlocal contexts
-            if isinstance(obj, list) and obj and obj[0].get("role") == "prompt":
-                contexts += 1
-            return original(obj)
+            contexts += 1
+            return original(*args)
 
-        monkeypatch.setattr(cli, "_encode", counting)
+        monkeypatch.setattr(cli, "_context", counting)
         out = tmp_path / "out"
         assert main(["all", "--input", str(synth_dir / "corpus.jsonl"), "--out-dir", str(out)]) == 0
         pairs = [json.loads(line) for line in (out / "pairs.jsonl").read_text().splitlines()]
@@ -621,6 +637,45 @@ class TestSynthAndSelfcheck:
         for out in (a, b):
             assert main(["synth", "--seed", "7", "--out-dir", str(out)]) == 0
         assert read_outputs(a) == read_outputs(b)
+
+    def test_truth_record_is_written_before_the_next_instance_is_generated(
+        self, tmp_path, monkeypatch
+    ):
+        from trajtree import synth
+
+        original_files, original_generate = cli.output_files, synth._generate_instance
+        written: list[str] = []  # what reached ground_truth.json, in order
+        before: list[str] = []  # per generated index, what had reached it by then
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                written.append(text)
+                return self.fh.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        @contextmanager
+        def recording(out, names):
+            with original_files(out, names) as files:
+                yield {**files, "ground_truth.json": Recording(files["ground_truth.json"])}
+
+        def generating(config, index):
+            before.append("".join(written))
+            return original_generate(config, index)
+
+        monkeypatch.setattr(cli, "output_files", recording)
+        monkeypatch.setattr(synth, "_generate_instance", generating)
+        assert main(["synth", "--instances", "4", "--out-dir", str(tmp_path)]) == 0
+        assert len(before) == 4
+        for index, text in enumerate(before):
+            assert (f'"inst{index - 1:04d}": {{' in text) == (index > 0), index
+            assert f'"inst{index:04d}": {{' not in text, index
+        assert "".join(written) == (tmp_path / "ground_truth.json").read_text(encoding="utf-8")
 
     def test_synth_flags_default_to_synth_config(self):
         args = cli.build_parser().parse_args(["synth", "--out-dir", "o"])

@@ -10,12 +10,13 @@ from trajtree.scoring import (
     MAX_MIN,
     NodeScore,
     extract_critical_pairs,
+    format_ratio,
     format_rational,
     identify_critical_actions,
     score_nodes,
 )
 from trajtree.synth import brute_force_scores
-from trajtree.tree import ACTION, LEAF, ROOT, TrajTree, TreeNode, build_tree, iter_path_nodes
+from trajtree.tree import ACTION, LEAF, TrajTree, build_tree, path_ids
 
 from conftest import O_EDIT, O_SEARCH, PROMPT, make_traj
 
@@ -85,18 +86,19 @@ class TestScoreNodes:
     def test_child_ids_below_their_parents(self, fixture_trajectories):
         # renumber so that every child's id is lower than its parent's
         tree = build_tree("inst-fix-x", PROMPT, fixture_trajectories)
-        top = max(tree.nodes)
-        new = {node_id: top - node_id for node_id in tree.nodes}
-        nodes = {
-            new[n.node_id]: replace(
-                n,
-                node_id=new[n.node_id],
-                children=[new[c] for c in n.children],
-                parent_id=None if n.parent_id is None else new[n.parent_id],
-            )
-            for n in tree.nodes.values()
+        top = len(tree.parent) - 1
+        renumbered = {
+            column: getattr(tree, column)[::-1]
+            for column in ("action_key", "action_raw", "observation", "outcome", "trajectory_id")
         }
-        tree = replace(tree, nodes=nodes, root_id=new[tree.root_id])
+        tree = replace(
+            tree,
+            parent=[-1 if p < 0 else top - p for p in tree.parent[::-1]],
+            children=[[top - c for c in kids] for kids in tree.children[::-1]],
+            root_id=top - tree.root_id,
+            **renumbered,
+        )
+        nodes = tree.nodes
         assert all(c < n.node_id for n in nodes.values() for c in n.children)
         scores = score_nodes(tree)
         oracle = brute_force_scores(fixture_trajectories)
@@ -106,7 +108,7 @@ class TestScoreNodes:
             if node.kind == LEAF:
                 assert (s.successes, s.total) == (node.outcome, 1)
             else:
-                prefix = tuple(n.action_key for n in iter_path_nodes(tree, node.node_id))
+                prefix = tuple(tree.action_key[i] for i in path_ids(tree, node.node_id))
                 assert (s.successes, s.total) == oracle[prefix], prefix
 
 
@@ -213,10 +215,16 @@ def fraction_triples(counts, threshold, pair_mode):
 
 def star_tree(n):
     """A root with n action children, scored directly by the test."""
-    nodes = {0: TreeNode(node_id=0, kind=ROOT, children=list(range(1, n + 1)))}
-    for i in range(1, n + 1):
-        nodes[i] = TreeNode(node_id=i, kind=ACTION, action_key=f"a{i}", parent_id=0)
-    return TrajTree("i", PROMPT, nodes, root_id=0, path_count=0, trajectory_ids=[])
+    return TrajTree(
+        "i", PROMPT, path_count=0, trajectory_ids=[], observation_divergences=0,
+        parent=[-1] + [0] * n,
+        action_key=[None] + [f"a{i}" for i in range(1, n + 1)],
+        action_raw=[None] * (n + 1),
+        observation=[None] * (n + 1),
+        outcome=[None] * (n + 1),
+        trajectory_id=[None] * (n + 1),
+        children=[list(range(1, n + 1))] + [[] for _ in range(n)],
+    )
 
 
 _count = st.integers(1, 40).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t)))
@@ -278,3 +286,17 @@ def test_format_rational():
     assert format_rational(Fraction(1)) == "1/1"
     assert format_rational(Fraction(1, 3)) == "1/3"
     assert format_rational(Fraction(2, 4)) == "1/2"
+
+
+# totals past 2**53, where a float no longer holds every integer, included
+_ratio = st.one_of(st.integers(1, 100), st.integers(2**53, 2**80)).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n))
+)
+
+
+@given(_ratio)
+@settings(max_examples=300)
+def test_integer_formatting_matches_fraction(ratio):
+    s, n = ratio
+    assert format_ratio(s, n) == format_rational(Fraction(s, n))
+    assert repr(s / n) == repr(float(Fraction(s, n)))

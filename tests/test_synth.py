@@ -266,7 +266,7 @@ class TestSynthFiles:
             "oracle_pairs": oracle_pairs,
         }
         cfg = SynthConfig()
-        text = "".join(truth_chunks(cfg, {instance_id: render_truth(truth)}))
+        text = "".join(truth_chunks(cfg, [(instance_id, render_truth(truth))]))
         assert text == json_doc({"config": asdict(cfg), "instances": {instance_id: truth}})
 
     def test_names_past_inst9999_are_written_in_sorted_order(self, tmp_path):

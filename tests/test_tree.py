@@ -7,7 +7,7 @@ from trajtree.tree import (
     LEAF,
     build_tree,
     enumerate_paths,
-    iter_path_nodes,
+    path_ids,
     tree_stats,
     tree_to_dict,
 )
@@ -135,7 +135,7 @@ class TestParentIds:
         for node in tree.nodes.values():
             if node.kind != ACTION:
                 continue
-            path = [n.node_id for n in iter_path_nodes(tree, node.node_id)]
+            path = path_ids(tree, node.node_id)
             assert path[-1] == node.node_id
             assert [parents[nid] for nid in path] == [tree.root_id] + path[:-1]
 
