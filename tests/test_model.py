@@ -176,6 +176,18 @@ class TestActionKeys:
         assert t == fresh and repr(t) == repr(fresh)
 
 
+class TestStep:
+    def test_equal_hashable_and_immutable(self):
+        parsed, _ = parse_trajectory_stream(io.StringIO(VALID_LINE + "\n"))
+        step = parsed[0].steps[0]
+        built = Step(action=step.action, observation=step.observation)
+        assert type(step) is Step and step == built and hash(step) == hash(built)
+        assert not step != built
+        assert step != Step(step.action, "other") and step != (step.action, step.observation)
+        with pytest.raises(AttributeError):
+            step.action = "x"
+
+
 class TestInvariants:
     def test_resolved_must_be_binary(self):
         with pytest.raises(InputError):
