@@ -19,21 +19,21 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .emit import stats_from_paths
+from .emit import stats_from_totals
 from .errors import ConfigError, InputError, InvariantError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .model import (
-    CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories, serialize_trajectory,
+    CanonConfig, Trajectory, _encode, _int, _Record, _string, iter_trajectories,
+    serialize_trajectory,
 )
 from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
 from .scoring import format_ratio, format_rational
-from .tree import LEAF, ROOT, TrajTree, path_ids, path_lengths
+from .tree import LEAF, ROOT, TrajTree, path_ids, path_totals
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
 
@@ -202,15 +202,15 @@ COMMAND_OUTPUTS: dict[str, tuple[str, ...]] = {
 COMMAND_OUTPUTS["all"] = tuple(name for row in COMMAND_OUTPUTS.values() for name in row)
 
 
-@dataclass
-class _Instance:
+class _Instance(_Record):
     """One instance's trajectories and, built on first use, its mined tree and
     the pieces every file's lines for it are spliced from. It is dropped
     before the next instance's tree is built."""
 
-    instance_id: str
-    ts: list[Trajectory]
-    stage: StageConfig
+    _fields = ("instance_id", "ts", "stage")
+
+    def __init__(self, instance_id: str, ts: list[Trajectory], stage: StageConfig) -> None:
+        self.instance_id, self.ts, self.stage = instance_id, ts, stage
 
     @cached_property
     def mined(self) -> tuple[TrajTree, list[int], list[int], list[tuple[int, int, int]]]:
@@ -290,22 +290,21 @@ def _context(tree: TrajTree, parent_id: int) -> str:
     return f',"context":[{{"role":"prompt","content":{_string(tree.prompt)}}}{segments}]'
 
 
-@dataclass
-class _Run:
+class _Run(_Record):
     """One dataset command's whole-corpus state: the ingest report, and the
-    summaries stats.json and the sft warning are made from."""
+    counts stats.json and the sft warning are made from."""
 
-    config: dict[str, Any]
-    report: IngestReport | None
-    paths: list[tuple[int, int, int]] = field(default_factory=list)
-    instances: int = 0
-    pair_count: int = 0
-    divergences: int = 0
-    sft_examples: int = 0
+    _fields = ("config", "report", "totals", "instances", "pair_count", "divergences",
+               "sft_examples")
+
+    def __init__(self, config: dict[str, Any], report: IngestReport | None) -> None:
+        self.config, self.report = config, report
+        self.totals = [0, 0, 0, 0]  # every tree's path_totals, summed
+        self.instances = self.pair_count = self.divergences = self.sft_examples = 0
 
     def summarize(self, inst: _Instance) -> None:
         tree, _, _, triples = inst.mined
-        self.paths.extend(path_lengths(tree))
+        self.totals = [a + b for a, b in zip(self.totals, path_totals(tree))]
         self.pair_count += len(triples)
         self.divergences += tree.observation_divergences
 
@@ -364,8 +363,8 @@ _LINES: dict[str, Callable[[_Run, _Instance], str]] = {
 # file -> the whole-corpus document written after the last instance
 _DOCS: dict[str, Callable[[_Run], str]] = {
     "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
-    "stats.json": lambda run: run.with_config(stats_from_paths(
-        run.report, run.paths, run.instances, run.pair_count, run.divergences
+    "stats.json": lambda run: run.with_config(stats_from_totals(
+        run.report, run.totals, run.instances, run.pair_count, run.divergences
     )),
 }
 
@@ -474,12 +473,12 @@ def cmd_pipeline(args, config) -> int:
     return EXIT_OK
 
 
-# the synth/selfcheck flags; seed is a config key
-_SYNTH_FLAGS = [f for f in fields(SynthConfig) if f.name != "seed"]
+# the synth/selfcheck flags and their defaults; seed is a config key
+_SYNTH_FLAGS = {k: v for k, v in SynthConfig._field_defaults.items() if k != "seed"}
 
 
 def _synth_config(args, config) -> SynthConfig:
-    return SynthConfig(seed=config["seed"], **{f.name: getattr(args, f.name) for f in _SYNTH_FLAGS})
+    return SynthConfig(seed=config["seed"], **{name: getattr(args, name) for name in _SYNTH_FLAGS})
 
 
 def cmd_synth(args, config) -> int:
@@ -536,8 +535,8 @@ def cmd_loss(args, config) -> int:
             loss = sft_loss(lp, reduction=obj.get("reduction", config["sft_reduction"]))
             return {"kind": "sft", "loss": loss}
         if kind == "dpo":
-            x = DpoInputs(**{f.name: float(_number(obj[f.name], f.name)) for f in fields(DpoInputs)})
-            return {"kind": "dpo", "loss": dpo_loss(x), "grad": asdict(dpo_loss_grad(x))}
+            x = DpoInputs(**{name: float(_number(obj[name], name)) for name in DpoInputs._fields})
+            return {"kind": "dpo", "loss": dpo_loss(x), "grad": dpo_loss_grad(x)._asdict()}
         raise InputError(f"loss record kind must be 'sft' or 'dpo', got {kind!r}")
 
     lines_out = []
@@ -572,45 +571,52 @@ def cmd_loss(args, config) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    subcommand: str | None = None  # set on a subcommand's parser until its options are added
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.subcommand is not None:  # so a command builds no other command's options
+            _add_options(self, self.subcommand)
+            self.subcommand = None
+        return super().parse_known_args(args, namespace)
+
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
         raise ConfigError(message)
+
+
+def _add_options(p: _Parser, command: str) -> None:
+    """`command`'s options: its input file, output directory, every config
+    key, and the loss output file or the synth flags."""
+    if command not in ("synth", "selfcheck"):
+        p.add_argument("--input", required=True, help="input corpus / records file")
+    if command not in ("loss", "selfcheck"):
+        p.add_argument("--out-dir", required=True, help="output directory")
+    for key, default in _CONFIG_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            p.add_argument(flag, dest=key, type=type(default), default=None)
+    if command == "loss":
+        p.add_argument("--output", help="write results here instead of stdout")
+    for key, default in _SYNTH_FLAGS.items() if command in ("synth", "selfcheck") else ():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true")
+        else:  # the CLI generates 20 instances by default
+            default = 20 if key == "instances" else default
+            p.add_argument(flag, type=type(default), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trajtree", description=__doc__)
     parser.add_argument("--config", help=f"config file path (or ${CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, needs_input=True, needs_out=True):
+    commands = dict.fromkeys(COMMAND_OUTPUTS, cmd_pipeline)
+    commands.update(loss=cmd_loss, synth=cmd_synth, selfcheck=cmd_selfcheck)
+    for name, func in commands.items():
         p = sub.add_parser(name)
         p.set_defaults(func=func)
-        if needs_input:
-            p.add_argument("--input", required=True, help="input corpus / records file")
-        if needs_out:
-            p.add_argument("--out-dir", required=True, help="output directory")
-        for key, default in _CONFIG_DEFAULTS.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(default, bool):
-                p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
-            else:
-                p.add_argument(flag, dest=key, type=type(default), default=None)
-        return p
-
-    for name in COMMAND_OUTPUTS:
-        add(name, cmd_pipeline)
-
-    loss = add("loss", cmd_loss, needs_out=False)
-    loss.add_argument("--output", help="write results here instead of stdout")
-
-    for name, func, needs_out in (("synth", cmd_synth, True), ("selfcheck", cmd_selfcheck, False)):
-        p = add(name, func, needs_input=False, needs_out=needs_out)
-        for f in _SYNTH_FLAGS:
-            flag = "--" + f.name.replace("_", "-")
-            if isinstance(f.default, bool):
-                p.add_argument(flag, action="store_true")
-            else:  # the CLI generates 20 instances by default
-                default = 20 if f.name == "instances" else f.default
-                p.add_argument(flag, type=type(f.default), default=default)
+        p.subcommand = name
     return parser
 
 

@@ -6,32 +6,28 @@ Loss masks are segment-granular; trainers tokenize and broadcast them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .ingest import IngestReport
 from .scoring import CriticalPair, Segment, format_rational
-from .tree import TrajTree, path_lengths, path_stats
+from .tree import TrajTree, path_stats, path_totals
 from .model import Trajectory
 
 
-@dataclass(frozen=True)
-class MaskedSegment:
+class MaskedSegment(NamedTuple):
     role: str  # prompt | action | observation
     content: str
     loss: bool  # actions train; prompt and observations are masked out
 
 
-@dataclass(frozen=True)
-class SftExample:
+class SftExample(NamedTuple):
     instance_id: str
     trajectory_id: str
     segments: tuple[MaskedSegment, ...]
 
 
-@dataclass(frozen=True)
-class DpoExample:
+class DpoExample(NamedTuple):
     instance_id: str
     context: tuple[Segment, ...]
     chosen: str
@@ -76,21 +72,21 @@ def emit_stats(
     pairs: list[CriticalPair],
 ) -> dict[str, Any]:
     """Single statistics record: corpus counts plus ingest removal counts."""
-    paths = [p for tree in trees for p in path_lengths(tree)]
+    totals = [sum(column) for column in zip((0, 0, 0, 0), *map(path_totals, trees))]
     divergences = sum(t.observation_divergences for t in trees)
-    return stats_from_paths(report, paths, len(trees), len(pairs), divergences)
+    return stats_from_totals(report, totals, len(trees), len(pairs), divergences)
 
 
-def stats_from_paths(
+def stats_from_totals(
     report: IngestReport | None,
-    paths: list[tuple[int, int, int]],
+    totals: Sequence[int],
     instance_count: int,
     pair_count: int,
     divergences: int,
 ) -> dict[str, Any]:
-    """`emit_stats` from per-instance summaries: every tree's `path_lengths`
+    """`emit_stats` from whole-corpus sums: every tree's `path_totals` summed,
     and the instance, pair and observation-divergence counts."""
-    stats = path_stats(paths, instance_count)
+    stats = path_stats(totals, instance_count)
     stats["critical_pair_count"] = pair_count
     stats["observation_divergences"] = divergences
     if report is not None:

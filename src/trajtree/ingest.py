@@ -7,28 +7,38 @@ only sees the cleaned peer set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from typing import IO, Any, Iterable
 
-from .errors import ConfigError, InputError
-from .model import CanonConfig, Trajectory, parse_trajectory_stream
+from .errors import ConfigError, InputError, InvariantError
+from .model import CanonConfig, Trajectory, _Record, parse_trajectory_stream
 
 DEFAULT_LOOP_THRESHOLD = 3  # consecutive identical actions counted as stuck-in-loop
 DEFAULT_OUTLIER_MIN_PREFIX = 1
 
 
-@dataclass
-class IngestReport:
-    input_count: int = 0
-    duplicates_removed: int = 0
-    loops_removed: int = 0
-    outliers_removed: int = 0
-    retained: int = 0
-    malformed_skipped: int = 0  # lenient-parse skips, outside the conservation sum
-    per_instance_retained: dict[str, int] = field(default_factory=dict)
+class IngestReport(_Record):
+    """What one ingest read, removed and retained; counters are set as it runs."""
+
+    _fields = (
+        "input_count", "duplicates_removed", "loops_removed", "outliers_removed", "retained",
+        "malformed_skipped", "per_instance_retained",
+    )
+
+    def __init__(
+        self, input_count: int = 0, duplicates_removed: int = 0, loops_removed: int = 0,
+        outliers_removed: int = 0, retained: int = 0,
+        malformed_skipped: int = 0,  # lenient-parse skips, outside the conservation sum
+        per_instance_retained: dict[str, int] | None = None,
+    ) -> None:
+        self.__dict__.update(zip(self._fields, (
+            input_count, duplicates_removed, loops_removed, outliers_removed, retained,
+            malformed_skipped, {} if per_instance_retained is None else per_instance_retained,
+        )))
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        out = {name: getattr(self, name) for name in self._fields}
+        out["per_instance_retained"] = dict(self.per_instance_retained)
+        return out
 
     def add(self, other: IngestReport) -> None:
         """Fold in the report of a later part of the corpus that shares no instance."""
@@ -138,14 +148,9 @@ def ingest_trajectories(
     groups, report.outliers_removed = filter_outliers(groups, outlier_min_prefix, canon)
     report.per_instance_retained = {k: len(v) for k, v in groups.items()}
     report.retained = sum(report.per_instance_retained.values())
-    if (
-        report.duplicates_removed
-        + report.loops_removed
-        + report.outliers_removed
-        + report.retained
-        != report.input_count
-    ):
-        raise AssertionError("ingest conservation violated")  # unreachable by construction
+    removed = report.duplicates_removed + report.loops_removed + report.outliers_removed
+    if removed + report.retained != report.input_count:  # a filter dropped one uncounted
+        raise InvariantError("ingest conservation violated")
     return groups, report
 
 

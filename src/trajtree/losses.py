@@ -9,7 +9,7 @@ touches a model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, InputError
 
@@ -17,15 +17,13 @@ SUM = "sum"
 MEAN = "mean"
 
 
-@dataclass(frozen=True)
-class TrajectoryLogProbs:
+class TrajectoryLogProbs(NamedTuple):
     action_logps: tuple[float, ...]
     # carried for schema completeness; must never influence a loss
     observation_logps: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class DpoInputs:
+class DpoInputs(NamedTuple):
     policy_chosen: float
     policy_rejected: float
     ref_chosen: float
@@ -33,8 +31,7 @@ class DpoInputs:
     beta: float
 
 
-@dataclass(frozen=True)
-class DpoGrad:
+class DpoGrad(NamedTuple):
     policy_chosen: float
     policy_rejected: float
     ref_chosen: float

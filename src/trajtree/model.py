@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
-# distinct actions whose keys one parse keeps before it empties its memo,
+# distinct actions whose keys one `key_memo` keeps before it empties itself,
 # which bounds the memo's memory; a plain dict, as an LRU's per-entry links
 # cost 0.25-0.35 MB more peak RSS for the same hits on the deep and wide
 # benchmark corpora
@@ -49,15 +48,13 @@ _string = json.encoder.encode_basestring
 _KNOWN_FIELDS = {"instance_id", "trajectory_id", "prompt", "steps", "resolved", "meta"}
 
 
-@dataclass(frozen=True)
-class CanonConfig:
+class CanonConfig(NamedTuple):
     """How action text is normalized for merge-key equality."""
 
     collapse_whitespace: bool = True
 
 
-@dataclass(frozen=True)
-class CanonicalAction:
+class CanonicalAction(NamedTuple):
     key: str  # normalized text used for node identity
     raw: str  # original text, emitted verbatim downstream
 
@@ -95,29 +92,49 @@ class Step(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    instance_id: str
-    trajectory_id: str
-    prompt: str
-    steps: tuple[Step, ...]
-    resolved: int
-    meta: dict[str, Any] = field(default_factory=dict)
-    # action_keys memo per CanonConfig; never compared, printed or serialized
-    _keys: dict[CanonConfig, tuple[str, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+class _Record:
+    """Field equality and a dataclass-style repr for a plain class that
+    names its fields in `_fields`; like a mutable dataclass, unhashable."""
 
-    def __post_init__(self) -> None:
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Trajectory(_Record):
+    """One corpus record; immutable. Its action_keys memo (`_keys`, per
+    CanonConfig) is never compared, printed or serialized."""
+
+    _fields = ("instance_id", "trajectory_id", "prompt", "steps", "resolved", "meta")
+
+    def __init__(
+        self, instance_id: str, trajectory_id: str, prompt: str, steps: tuple[Step, ...],
+        resolved: int, meta: dict[str, Any] | None = None,
+    ) -> None:
         # as strict as the parser, so that every Trajectory serializes to a line it reads back
-        resolved = self.resolved
         if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved not in (0, 1):
             raise InputError(f"resolved must be integer 0 or 1, got {resolved!r}")
-        if not self.steps:
+        if not steps:
             raise InputError("trajectory has no steps")
-        for i, step in enumerate(self.steps[:-1]):
+        for i, step in enumerate(steps[:-1]):
             if step.observation is None:
                 raise InputError(f"step {i} is non-final but has no observation")
+        self.__dict__.update(
+            instance_id=instance_id, trajectory_id=trajectory_id, prompt=prompt, steps=steps,
+            resolved=resolved, meta={} if meta is None else meta, _keys={},
+        )
+
+    def __setattr__(self, name: str, *value: Any) -> None:  # also __delattr__
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def action_keys(self, config: CanonConfig = CanonConfig()) -> tuple[str, ...]:
         """Canonical merge keys for the action sequence, computed once per config."""
@@ -126,6 +143,22 @@ class Trajectory:
             keys = tuple(canonicalize_action(s.action, config).key for s in self.steps)
             self._keys[config] = keys
         return keys
+
+
+def key_memo(canon: CanonConfig) -> Callable[[str], str]:
+    """`canonicalize_action(raw, canon).key`, memoized for up to
+    `_KEY_MEMO_SIZE` distinct actions at a time."""
+    memo: dict[str, str] = {}
+
+    def key_of(raw: str) -> str:
+        key = memo.get(raw)
+        if key is None:
+            if len(memo) >= _KEY_MEMO_SIZE:
+                memo.clear()
+            key = memo[raw] = canonicalize_action(raw, canon).key
+        return key
+
+    return key_of
 
 
 def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) -> Trajectory:
@@ -163,7 +196,7 @@ def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) ->
     for key, value in obj.items():
         if key not in _KNOWN_FIELDS:
             meta[key] = value  # unknown fields survive round-trips via meta
-    # __post_init__'s checks were all made above: set the fields without __init__
+    # __init__'s checks were all made above: set the fields without it
     t = object.__new__(Trajectory)
     t.__dict__.update(
         instance_id=obj["instance_id"], trajectory_id=obj["trajectory_id"], prompt=obj["prompt"],
@@ -183,20 +216,10 @@ def iter_trajectories(
     lenient mode skips; in strict mode the first malformed line raises
     InputError with its line number. Blank lines yield nothing. Each
     trajectory's action_keys for `canon` are filled from the parse's own
-    canonicalization, so later stages never canonicalize again. Keys are
-    memoized per call, for up to `_KEY_MEMO_SIZE` distinct actions at a time.
+    canonicalization, so later stages never canonicalize again, through one
+    `key_memo` per call.
     """
-
-    memo: dict[str, str] = {}
-
-    def key_of(raw: str) -> str:
-        key = memo.get(raw)
-        if key is None:
-            if len(memo) >= _KEY_MEMO_SIZE:
-                memo.clear()
-            key = memo[raw] = canonicalize_action(raw, canon).key
-        return key
-
+    key_of = key_memo(canon)
     for line_no, line in enumerate(source, start=1):
         try:
             if isinstance(line, bytes):

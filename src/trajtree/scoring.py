@@ -9,11 +9,9 @@ integers and of node-id triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConfigError, InvariantError
 from .model import CanonConfig
@@ -25,25 +23,22 @@ ALL_PAIRS = "all-pairs"
 MAX_MIN = "max-min"
 
 
-@dataclass(frozen=True)
-class NodeScore:
+class NodeScore(NamedTuple):
     node_id: int
     successes: int
     total: int
 
-    @cached_property  # made once however many pairs a node is in
+    @property
     def value(self) -> Fraction:
         return Fraction(self.successes, self.total)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     role: str  # prompt | action | observation
     content: str
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(NamedTuple):
     instance_id: str
     context: tuple[Segment, ...]  # prompt, then alternating action/observation, raw text
     chosen: str

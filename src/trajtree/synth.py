@@ -10,11 +10,10 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import asdict
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-from .model import CanonConfig, Step, Trajectory
+from .model import CanonConfig, Step, Trajectory, key_memo
 from .pipeline import SynthConfig  # defined with StageConfig; importable from here too
 from .scoring import DEFAULT_THRESHOLD
 
@@ -22,16 +21,12 @@ PREFIX_JOIN = ""  # unit separator; cannot appear in canonical keys we generate
 
 
 def _attach_observations(
-    instance_id: str,
-    trajectory_id: str,
-    actions: list[str],
-    resolved: int,
-    prompt: str,
-    divergent: bool,
-    omit_final_obs: bool,
+    instance_id: str, trajectory_id: str, actions: list[str], resolved: int, prompt: str,
+    divergent: bool, omit_final_obs: bool, key_of: Callable[[str], str],
 ) -> Trajectory:
     """The observation after the first k actions is `obs[instance_id:k:digest]`,
-    digest being the sha1 of those actions joined by "|", from one running hash."""
+    digest being the sha1 of those actions joined by "|", from one running hash.
+    Its default action_keys come from `key_of`."""
     import hashlib  # loads libcrypto; only synthesis hashes anything
 
     suffix = f":{trajectory_id}" if divergent else ""
@@ -46,18 +41,13 @@ def _attach_observations(
         else:
             obs = f"obs[{instance_id}:{i + 1}:{prefix_hash.copy().hexdigest()[:10]}]{suffix}"
         steps.append(Step(action=action, observation=obs))
-    return Trajectory(
-        instance_id=instance_id,
-        trajectory_id=trajectory_id,
-        prompt=prompt,
-        steps=tuple(steps),
-        resolved=resolved,
-        meta={"source": "synth"},
-    )
+    t = Trajectory(instance_id, trajectory_id, prompt, tuple(steps), resolved, {"source": "synth"})
+    t._keys[CanonConfig()] = tuple(map(key_of, actions))
+    return t
 
 
 def _generate_instance(
-    config: SynthConfig, index: int
+    config: SynthConfig, index: int, key_of: Callable[[str], str]
 ) -> tuple[list[Trajectory], dict[str, Any]]:
     # per-instance derived seed keeps generation order-independent across instances
     rng = random.Random(f"{config.seed}:{index}")
@@ -120,17 +110,10 @@ def _generate_instance(
     trajectories = []
     for t, (actions, resolved, tag) in enumerate(action_lists):
         omit_final = tag == "fresh" and rng.random() < 0.3
-        trajectories.append(
-            _attach_observations(
-                instance_id,
-                f"{instance_id}/t{t:03d}",
-                actions,
-                resolved,
-                prompt,
-                config.divergent_observations,
-                omit_final,
-            )
-        )
+        trajectories.append(_attach_observations(
+            instance_id, f"{instance_id}/t{t:03d}", actions, resolved, prompt,
+            config.divergent_observations, omit_final, key_of,
+        ))
 
     retained = _intended_retained(trajectories)
     prefix_scores = brute_force_scores(retained)
@@ -138,9 +121,7 @@ def _generate_instance(
     truth = {
         "instance_id": instance_id,
         "retained": [t.trajectory_id for t in retained],
-        "prefix_scores": {
-            PREFIX_JOIN.join(p): [s, n] for p, (s, n) in sorted(prefix_scores.items())
-        },
+        "prefix_scores": {PREFIX_JOIN.join(p): [s, n] for p, (s, n) in prefix_scores.items()},
         "planted_pairs": planted_pairs,
         "oracle_pairs": sorted(
             [list(p), c, r] for p, c, r in oracle_pairs
@@ -172,9 +153,11 @@ def _intended_retained(ts: list[Trajectory]) -> list[Trajectory]:
 
 def iter_instances(config: SynthConfig) -> Iterator[tuple[list[Trajectory], dict[str, Any]]]:
     """Each instance's trajectories and ground-truth record, generated lazily
-    in index order. The config is validated before this returns."""
+    in index order, canonicalizing through one `key_memo`. The config is
+    validated before this returns."""
     config.validate()
-    return (_generate_instance(config, i) for i in range(config.instances))
+    key_of = key_memo(CanonConfig())
+    return (_generate_instance(config, i, key_of) for i in range(config.instances))
 
 
 def generate(config: SynthConfig) -> tuple[list[Trajectory], dict[str, Any]]:
@@ -184,7 +167,7 @@ def generate(config: SynthConfig) -> tuple[list[Trajectory], dict[str, Any]]:
     for ts, truth in iter_instances(config):
         corpus.extend(ts)
         instances[truth["instance_id"]] = truth
-    return corpus, {"config": asdict(config), "instances": instances}
+    return corpus, {"config": config._asdict(), "instances": instances}
 
 
 # ground_truth.json is {"config": ..., "instances": {name: record}} as
@@ -247,7 +230,7 @@ def truth_chunks(config: SynthConfig, records: Iterable[tuple[str, str]]) -> Ite
     entries of the (name, entry) records in sorted-name order, each as soon
     as every name the config generates that sorts before it has been (at
     once below 10,000 instances). Names it does not generate wait for the end."""
-    head = json.dumps({"config": asdict(config)}, ensure_ascii=False, indent=2, sort_keys=True)
+    head = json.dumps({"config": config._asdict()}, ensure_ascii=False, indent=2, sort_keys=True)
     yield head[: -len("\n}")] + ',\n  "instances": {'
     names = iter(sorted(f"inst{i:04d}" for i in range(config.instances)))  # as generated
     following, pending, separator = next(names, None), {}, "\n"

@@ -10,47 +10,52 @@ A tree is parallel lists indexed by node id; `TrajTree.nodes` is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple, Sequence
 
 from .errors import InputError
-from .model import CanonConfig, Trajectory
+from .model import CanonConfig, Trajectory, _Record
 
 ROOT = "root"
 ACTION = "action"
 LEAF = "leaf"
 
 
-@dataclass
-class TreeNode:  # one node as `TrajTree.nodes` presents it
+class TreeNode(NamedTuple):  # one node as `TrajTree.nodes` presents it
     node_id: int
     kind: str  # root | action | leaf
-    action_key: str | None = None
-    action_raw: str | None = None  # first-merged occurrence, preserved verbatim
-    observation: str | None = None
-    children: list[int] = field(default_factory=list)
-    outcome: int | None = None  # leaves only
-    trajectory_id: str | None = None  # leaves only (provenance)
-    parent_id: int | None = None  # None only at the root; not exported
+    action_key: str | None
+    action_raw: str | None  # first-merged occurrence, preserved verbatim
+    observation: str | None
+    children: list[int]
+    outcome: int | None  # leaves only
+    trajectory_id: str | None  # leaves only (provenance)
+    parent_id: int | None  # None only at the root; not exported
 
 
-@dataclass
-class TrajTree:
-    instance_id: str
-    prompt: str
-    path_count: int
-    trajectory_ids: list[str]
-    observation_divergences: int  # merges where recorded observations disagreed
-    # per node id: an action node has a key, a leaf an outcome, the root neither
-    parent: list[int]  # -1 at the root
-    action_key: list[str | None]
-    action_raw: list[str | None]  # first-merged occurrence, preserved verbatim
-    observation: list[str | None]
-    outcome: list[int | None]
-    trajectory_id: list[str | None]  # leaves only (provenance)
-    children: list[list[int]]
-    root_id: int = 0
+class TrajTree(_Record):
+    """One instance's tree as lists indexed by node id: an action node has a key
+    and its first-merged raw text, verbatim; a leaf an outcome and (provenance)
+    a trajectory_id; the root neither."""
+
+    _fields = (
+        "instance_id", "prompt", "path_count", "trajectory_ids", "observation_divergences",
+        "parent", "action_key", "action_raw", "observation", "outcome", "trajectory_id",
+        "children", "root_id",
+    )
+
+    def __init__(
+        self, instance_id: str, prompt: str, path_count: int, trajectory_ids: list[str],
+        observation_divergences: int,  # merges where recorded observations disagreed
+        parent: list[int],  # -1 at the root
+        action_key: list[str | None], action_raw: list[str | None], observation: list[str | None],
+        outcome: list[int | None], trajectory_id: list[str | None], children: list[list[int]],
+        root_id: int = 0,
+    ) -> None:
+        self.__dict__.update(zip(self._fields, (
+            instance_id, prompt, path_count, trajectory_ids, observation_divergences, parent,
+            action_key, action_raw, observation, outcome, trajectory_id, children, root_id,
+        )))
 
     @cached_property
     def order(self) -> list[int]:
@@ -157,34 +162,36 @@ def path_ids(tree: TrajTree, node_id: int) -> list[int]:
     return path
 
 
-def path_lengths(tree: TrajTree) -> list[tuple[int, int, int]]:
-    """(char length, step count, outcome) per root-to-leaf path, from one
-    top-down pass that gives each action node its prefix's lengths."""
+def path_totals(tree: TrajTree) -> tuple[int, int, int, int]:
+    """(paths, successful paths, char length, step count), the last two
+    summed over the root-to-leaf paths, from one top-down pass that gives
+    each action node its prefix's lengths."""
     chars, depth = [0] * len(tree.parent), [0] * len(tree.parent)
     chars[tree.root_id] = len(tree.prompt)
-    out = []
+    paths = successful = char_sum = step_sum = 0
     parent, raw, obs, outcome = tree.parent, tree.action_raw, tree.observation, tree.outcome
     for node_id in tree.order[1:]:
         up = parent[node_id]
         if outcome[node_id] is not None:
-            out.append((chars[up], depth[up], outcome[node_id]))
+            paths += 1
+            successful += outcome[node_id] == 1
+            char_sum += chars[up]
+            step_sum += depth[up]
         else:
             chars[node_id] = chars[up] + len(raw[node_id]) + len(obs[node_id] or "")
             depth[node_id] = depth[up] + 1
-    return out
+    return paths, successful, char_sum, step_sum
 
 
-def path_stats(paths: list[tuple[int, int, int]], instance_count: int) -> dict[str, Any]:
-    """Corpus statistics from every tree's `path_lengths`: counts, approximate
-    token length, average path length.
+def path_stats(totals: Sequence[int], instance_count: int) -> dict[str, Any]:
+    """Corpus statistics from every tree's `path_totals`, summed: counts,
+    approximate token length, average path length.
 
     Token length is approximated as characters / 4 so no tokenizer is
     required; the exact character average is reported alongside.
     """
-    n = len(paths)
-    successful = sum(1 for _, _, outcome in paths if outcome == 1)
-    avg_chars = sum(chars for chars, _, _ in paths) / n if n else 0.0
-    avg_steps = sum(steps for _, steps, _ in paths) / n if n else 0.0
+    n, successful, chars, steps = totals
+    avg_chars = chars / n if n else 0.0
     return {
         "instance_count": instance_count,
         "trajectory_count": n,
@@ -192,14 +199,15 @@ def path_stats(paths: list[tuple[int, int, int]], instance_count: int) -> dict[s
         "wrong_count": n - successful,
         "avg_char_len": avg_chars,
         "avg_token_len": round(avg_chars / 4),
-        "avg_path_len": avg_steps,
+        "avg_path_len": steps / n if n else 0.0,
         "critical_pair_count": None,  # joined in by the emission stage
     }
 
 
 def tree_stats(trees: list[TrajTree]) -> dict[str, Any]:
-    """`path_stats` over the trees' paths."""
-    return path_stats([p for tree in trees for p in path_lengths(tree)], len(trees))
+    """`path_stats` over the trees' summed `path_totals`."""
+    totals = [sum(column) for column in zip((0, 0, 0, 0), *map(path_totals, trees))]
+    return path_stats(totals, len(trees))
 
 
 def tree_to_dict(tree: TrajTree) -> dict[str, Any]:
@@ -213,7 +221,7 @@ def tree_to_dict(tree: TrajTree) -> dict[str, Any]:
         "observation_divergences": tree.observation_divergences,
         "nodes": [  # in id order
             {k: list(v) if k == "children" else v
-             for k, v in vars(node).items() if k != "parent_id"}
+             for k, v in node._asdict().items() if k != "parent_id"}
             for node in tree.nodes.values()
         ],
     }

@@ -115,8 +115,8 @@ def test_criterion_3_loss_oracle():
         x = DpoInputs(beta=rng.uniform(1e-3, 5.0), **vals)
         grad = dpo_loss_grad(x)
         for f in fields:
-            up = dpo_loss(DpoInputs(**{**x.__dict__, f: vals[f] + h}))
-            down = dpo_loss(DpoInputs(**{**x.__dict__, f: vals[f] - h}))
+            up = dpo_loss(x._replace(**{f: vals[f] + h}))
+            down = dpo_loss(x._replace(**{f: vals[f] - h}))
             assert abs(getattr(grad, f) - (up - down) / (2 * h)) < 1e-6
     # stability at extreme arguments
     for sign in (1, -1):

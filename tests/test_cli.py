@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import io
@@ -7,6 +8,7 @@ import math
 import os
 import stat
 import sys
+import tempfile
 import threading
 import weakref
 from contextlib import contextmanager, redirect_stdout
@@ -19,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 from trajtree import cli, model, pipeline
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
 from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, sft_to_dict
-from trajtree.ingest import group_by_instance, ingest_pipeline
+from trajtree.ingest import group_by_instance, ingest_pipeline, ingest_trajectories
 from trajtree.model import Step, Trajectory, serialize_trajectory
 from trajtree.pipeline import StageConfig, process_instances
 from trajtree.scoring import pair_to_dict, scored_tree_to_dict
-from trajtree.synth import SynthConfig
-from trajtree.tree import tree_to_dict
+from trajtree.synth import SynthConfig, generate
+from trajtree.tree import build_tree, path_ids, tree_stats, tree_to_dict
 
 from conftest import O_SEARCH, make_traj
 
@@ -239,6 +241,53 @@ class TestExitCodes:
             assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
             err = capsys.readouterr().err
             assert "'t'" in err and "'inst-fix-x'" in err, command
+
+
+COMMANDS = [*COMMAND_OUTPUTS, "loss", "synth", "selfcheck"]
+
+
+def command_flags(command: str) -> list[str]:
+    """Every flag `command --help` lists: its files, each config key, and the
+    loss output file or the synth flags."""
+    flags = [] if command in ("synth", "selfcheck") else ["--input"]
+    flags += [] if command in ("loss", "selfcheck") else ["--out-dir"]
+    for key, default in cli._CONFIG_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag, "--no-" + flag[2:]] if isinstance(default, bool) else [flag]
+    if command == "loss":
+        flags.append("--output")
+    if command in ("synth", "selfcheck"):
+        flags += ["--" + name.replace("_", "-") for name in SynthConfig._fields if name != "seed"]
+    return flags
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: trajtree {command} [-h]"), text
+        listed = {word.strip("[],") for word in text.split() if word.strip("[").startswith("--")}
+        assert listed == set(command_flags(command)) | {"--help"}, command
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_option_exits_1(self, command, tmp_path, capsys):
+        files = {"--input": str(tmp_path / "in.jsonl"), "--out-dir": str(tmp_path / "out")}
+        argv = [command, *(a for flag in command_flags(command)[:2] if flag in files
+                           for a in (flag, files[flag]))]
+        assert main([*argv, "--no-such-flag"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --no-such-flag\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_command_adds_only_its_own_options(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["tree", "--input", "in", "--out-dir", "out", "--jobs", "2"])
+        assert (args.input, args.out_dir, args.jobs) == ("in", "out", 2)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {name: len(p._actions) - 1 for name, p in sub.choices.items()}  # less -h
+        assert options == {name: 12 if name == "tree" else 0 for name in COMMANDS}
 
 
 class TestCommandOutputs:
@@ -664,9 +713,9 @@ class TestSynthAndSelfcheck:
             with original_files(out, names) as files:
                 yield {**files, "ground_truth.json": Recording(files["ground_truth.json"])}
 
-        def generating(config, index):
+        def generating(*args):
             before.append("".join(written))
-            return original_generate(config, index)
+            return original_generate(*args)
 
         monkeypatch.setattr(cli, "output_files", recording)
         monkeypatch.setattr(synth, "_generate_instance", generating)
@@ -702,29 +751,96 @@ class TestSynthAndSelfcheck:
         assert stats["trajectory_count"] == stats["ingest"]["retained"]
 
 
+@pytest.fixture
+def canonicalize_calls(monkeypatch) -> list[int]:
+    """One counter of the `canonicalize_action` calls from every trajtree module."""
+    original = model.canonicalize_action
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("trajtree") and getattr(mod, "canonicalize_action", None) is original:
+            monkeypatch.setattr(mod, "canonicalize_action", counting)
+    return calls
+
+
 class TestCanonicalizeOnce:
-    def test_all_canonicalizes_each_step_at_most_once(self, tmp_path, monkeypatch):
+    def test_all_canonicalizes_each_step_at_most_once(self, tmp_path, canonicalize_calls):
         synth_dir = tmp_path / "synth"
         assert main(["synth", "--seed", "5", "--instances", "30", "--out-dir", str(synth_dir)]) == 0
         corpus = synth_dir / "corpus.jsonl"
         steps = sum(len(json.loads(line)["steps"]) for line in corpus.read_text().splitlines())
-        original = model.canonicalize_action
-        calls = 0
-
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("trajtree") and getattr(mod, "canonicalize_action", None) is original:
-                monkeypatch.setattr(mod, "canonicalize_action", counting)
         for flags in ([], ["--merge-mode", "strict", "--pair-mode", "max-min"]):
-            calls = 0
+            canonicalize_calls[0] = 0
             out = tmp_path / f"out{len(flags)}"
             assert main(["all", "--input", str(corpus), "--out-dir", str(out), *flags]) == 0
             assert json.loads((out / "stats.json").read_text())["critical_pair_count"] > 0
-            assert 0 < calls <= steps, flags
+            assert 0 < canonicalize_calls[0] <= steps, flags
+
+    def test_synth_canonicalizes_each_distinct_action_once(self, tmp_path, canonicalize_calls):
+        deep = ["--instances", "4", "--trajectories-per-instance", "40", "--depth", "30",
+                "--branching", "2"]
+        for flags in (["--instances", "30"], deep):
+            canonicalize_calls[0] = 0
+            out = tmp_path / str(len(flags))
+            assert main(["synth", "--seed", "5", *flags, "--out-dir", str(out)]) == 0
+            lines = (out / "corpus.jsonl").read_text().splitlines()
+            steps = [step["action"] for line in lines for step in json.loads(line)["steps"]]
+            assert 0 < canonicalize_calls[0] == len(set(steps)) < len(steps), flags
+
+
+def path_lengths(tree) -> list[tuple[int, int, int]]:
+    """(char length, step count, outcome) per root-to-leaf path, walked leaf by leaf."""
+    out = []
+    for leaf, outcome in enumerate(tree.outcome):
+        if outcome is not None:
+            ids = path_ids(tree, tree.parent[leaf])
+            chars = sum(len(tree.action_raw[i]) + len(tree.observation[i] or "") for i in ids)
+            out.append((len(tree.prompt) + chars, len(ids), outcome))
+    return out
+
+
+class TestStatsSums:
+    @given(
+        st.integers(0, 2**32), st.integers(0, 6), st.integers(0, 10), st.integers(1, 8),
+        st.integers(1, 4), st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stats_json_equals_tree_stats(self, seed, instances, tpi, depth, branching, divergent):
+        cfg = SynthConfig(
+            seed=seed, instances=instances, trajectories_per_instance=tpi, depth=depth,
+            branching=branching, divergent_observations=divergent,
+        )
+        corpus, _ = generate(cfg)
+        groups, _ = ingest_trajectories(corpus)
+        trees = [build_tree(name, ts[0].prompt, ts) for name, ts in groups.items()]
+        # the statistics as made from one (chars, steps, outcome) per path
+        paths = [p for tree in trees for p in path_lengths(tree)]
+        n = len(paths)
+        successful = sum(1 for _, _, outcome in paths if outcome == 1)
+        avg_chars = sum(chars for chars, _, _ in paths) / n if n else 0.0
+        want = {
+            "instance_count": len(trees),
+            "trajectory_count": n,
+            "successful_count": successful,
+            "wrong_count": n - successful,
+            "avg_char_len": avg_chars,
+            "avg_token_len": round(avg_chars / 4),
+            "avg_path_len": sum(steps for _, steps, _ in paths) / n if n else 0.0,
+            "critical_pair_count": None,
+        }
+        assert tree_stats(trees) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "corpus.jsonl")
+            path.write_text("".join(serialize_trajectory(t) + "\n" for t in corpus), "utf-8")
+            assert main(["all", "--input", str(path), "--out-dir", tmp]) == 0
+            stats = json.loads(Path(tmp, "stats.json").read_text(encoding="utf-8"))
+        assert {key: stats[key] for key in want if key != "critical_pair_count"} == {
+            key: value for key, value in want.items() if key != "critical_pair_count"
+        }
 
 
 class TestLossCommand:

@@ -3,7 +3,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajtree.errors import ConfigError, InputError
+from trajtree import ingest
+from trajtree.cli import main
+from trajtree.errors import ConfigError, InputError, InvariantError
 from trajtree.ingest import (
     deduplicate,
     filter_loops,
@@ -150,6 +152,24 @@ class TestPipeline:
         text = "".join(serialize_trajectory(t) + "\n" for t in ts)
         groups, report = ingest_pipeline(io.StringIO(text))
         assert report.retained == 2 and set(groups) == {"i1"}
+
+    def test_uncounted_drop_is_an_invariant_error(self, monkeypatch, tmp_path, capsys):
+        ts = [chain("t1", ["a", "b"], 1), chain("t2", ["a", "c"], 0)]
+        original = ingest.filter_loops
+
+        def dropping(*args):  # loses the first trajectory without counting it
+            kept, removed = original(*args)
+            return kept[1:], removed
+
+        monkeypatch.setattr(ingest, "filter_loops", dropping)
+        with pytest.raises(InvariantError, match="ingest conservation violated"):
+            ingest_trajectories(ts)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(serialize_trajectory(t) + "\n" for t in ts), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(corpus), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: ingest conservation violated\n"
+        assert list(out.iterdir()) == []
 
 
 @st.composite

@@ -130,8 +130,8 @@ class TestDpoLoss:
 
 
 def finite_difference(x: DpoInputs, field: str, h: float = 1e-6) -> float:
-    up = dpo_loss(DpoInputs(**{**x.__dict__, field: getattr(x, field) + h}))
-    down = dpo_loss(DpoInputs(**{**x.__dict__, field: getattr(x, field) - h}))
+    up = dpo_loss(x._replace(**{field: getattr(x, field) + h}))
+    down = dpo_loss(x._replace(**{field: getattr(x, field) - h}))
     return (up - down) / (2 * h)
 
 

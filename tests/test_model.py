@@ -175,6 +175,16 @@ class TestActionKeys:
         t.action_keys()
         assert t == fresh and repr(t) == repr(fresh)
 
+    def test_fields_cannot_be_set_or_deleted(self):
+        t = Trajectory("i", "t", "p", (Step("a"),), resolved=1)
+        with pytest.raises(AttributeError):
+            t.resolved = 0
+        with pytest.raises(AttributeError):
+            del t.meta
+        with pytest.raises(AttributeError):
+            t.extra = 1
+        assert (t.resolved, t.meta) == (1, {}) and not hasattr(t, "extra")
+
 
 class TestStep:
     def test_equal_hashable_and_immutable(self):

@@ -110,6 +110,8 @@ class TestLazyPackage:
 
 # loaded only by `synth`/`selfcheck` (hashlib with it) and `loss`
 HEAVY = ("hashlib", "_hashlib", "trajtree.synth", "trajtree.losses")
+# loaded by no command: dataclasses imports inspect, and with it ast, dis and tokenize
+NEVER = ("dataclasses", "inspect")
 
 MODULES_AFTER = """
 import json, sys
@@ -132,7 +134,25 @@ class TestCommandModules:
         # the last line: `loss` and `selfcheck` print their results before it
         code, loaded = json.loads(run_fresh(MODULES_AFTER, *argv, cwd=cwd).splitlines()[-1])
         assert code == 0, argv
+        assert set(loaded).isdisjoint(NEVER), sorted(set(loaded).intersection(NEVER))
         return set(loaded)
+
+    def test_all_as_a_module_imports_no_dataclasses_or_inspect(self, corpus, tmp_path):
+        # what `python -X importtime -m trajtree.cli all` reports, one module a line
+        env = {k: v for k, v in os.environ.items() if k != "TRAJTREE_CONFIG"}
+        env["PYTHONPATH"] = str(SRC)
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "trajtree.cli", "all",
+             "--input", str(corpus), "--out-dir", str(tmp_path / "out")],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        imported = {
+            line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"trajtree.model", "trajtree.emit", "argparse"} <= imported
+        assert imported.isdisjoint(NEVER), sorted(imported.intersection(NEVER))
+        assert (tmp_path / "out" / "stats.json").exists()
 
     @pytest.mark.parametrize("command", ["all", "ingest", "tree", "stats"])
     def test_dataset_commands_load_no_hashing_synth_or_losses(self, command, corpus, tmp_path):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -91,8 +90,9 @@ class TestScoreNodes:
             column: getattr(tree, column)[::-1]
             for column in ("action_key", "action_raw", "observation", "outcome", "trajectory_id")
         }
-        tree = replace(
-            tree,
+        tree = TrajTree(
+            tree.instance_id, tree.prompt, tree.path_count, tree.trajectory_ids,
+            tree.observation_divergences,
             parent=[-1 if p < 0 else top - p for p in tree.parent[::-1]],
             children=[[top - c for c in kids] for kids in tree.children[::-1]],
             root_id=top - tree.root_id,

@@ -1,6 +1,5 @@
 import hashlib
 import tempfile
-from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,12 +176,11 @@ class TestPipelineAgainstOracle:
 def synth_files(cfg: SynthConfig, out: Path) -> dict[str, bytes]:
     """The files `trajtree synth` writes for `cfg`."""
     argv = ["synth", "--out-dir", str(out)]
-    for f in fields(SynthConfig):
-        value = getattr(cfg, f.name)
+    for name, value in cfg._asdict().items():
         if isinstance(value, bool):
-            argv += [f"--{f.name.replace('_', '-')}"] if value else []
+            argv += [f"--{name.replace('_', '-')}"] if value else []
         else:
-            argv += [f"--{f.name.replace('_', '-')}", str(value)]
+            argv += [f"--{name.replace('_', '-')}", str(value)]
     assert main(argv) == 0
     return {name: (out / name).read_bytes() for name in ("corpus.jsonl", "ground_truth.json")}
 
@@ -267,7 +265,7 @@ class TestSynthFiles:
         }
         cfg = SynthConfig()
         text = "".join(truth_chunks(cfg, [(instance_id, render_truth(truth))]))
-        assert text == json_doc({"config": asdict(cfg), "instances": {instance_id: truth}})
+        assert text == json_doc({"config": cfg._asdict(), "instances": {instance_id: truth}})
 
     def test_names_past_inst9999_are_written_in_sorted_order(self, tmp_path):
         cfg = SynthConfig(instances=10_001, trajectories_per_instance=0)
