@@ -63,8 +63,9 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
         try:
             with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        # ValueError: not UTF-8 (UnicodeDecodeError) or not JSON (JSONDecodeError)
-        except (OSError, ValueError) as exc:
+        # ValueError: not UTF-8 (UnicodeDecodeError) or not JSON (JSONDecodeError);
+        # RecursionError: nesting deeper than the decoder follows
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -6,7 +6,6 @@ so they can independently check node scoring and pair extraction.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from collections import Counter
@@ -25,22 +24,22 @@ def _attach_observations(
     divergent: bool, omit_final_obs: bool, key_of: Callable[[str], str],
 ) -> Trajectory:
     """The observation after the first k actions is `obs[instance_id:k:digest]`,
-    digest being the sha1 of those actions joined by "|", from one running hash.
-    Its default action_keys come from `key_of`."""
+    digest being the sha1 of those actions joined by "|". It comes from the
+    one running hash itself, with no copy: a hashlib object can still be
+    updated after a digest. Its default action_keys come from `key_of`."""
     import hashlib  # loads libcrypto; only synthesis hashes anything
 
-    suffix = f":{trajectory_id}" if divergent else ""
-    prefix_hash = hashlib.sha1()
+    head, tail = f"obs[{instance_id}:", f"]:{trajectory_id}" if divergent else "]"
+    running = hashlib.sha1()
+    update, hexdigest = running.update, running.hexdigest
     separator = b""
     steps = []
-    for i, action in enumerate(actions):
-        prefix_hash.update(separator + action.encode("utf-8"))
+    for k, action in enumerate(actions, 1):
+        update(separator + action.encode("utf-8"))
         separator = b"|"
-        if i == len(actions) - 1 and omit_final_obs:
-            obs = None
-        else:
-            obs = f"obs[{instance_id}:{i + 1}:{prefix_hash.copy().hexdigest()[:10]}]{suffix}"
-        steps.append(Step(action=action, observation=obs))
+        steps.append(tuple.__new__(Step, (action, f"{head}{k}:{hexdigest()[:10]}{tail}")))
+    if omit_final_obs:
+        steps[-1] = tuple.__new__(Step, (actions[-1], None))
     t = Trajectory(instance_id, trajectory_id, prompt, tuple(steps), resolved, {"source": "synth"})
     t._keys[CanonConfig()] = tuple(map(key_of, actions))
     return t
@@ -140,8 +139,7 @@ def _intended_retained(ts: list[Trajectory]) -> list[Trajectory]:
         if key in seen:
             continue
         seen.add(key)
-        max_run = max(sum(1 for _ in group) for _, group in itertools.groupby(keys))
-        if max_run >= 3:
+        if any(a == b == c for a, b, c in zip(keys, keys[1:], keys[2:])):
             continue
         kept.append(t)
     if len(kept) <= 1:
@@ -201,11 +199,13 @@ def render_truth(truth: dict[str, Any]) -> str:
     Keys come in the sorted order of the record's fixed schema; prefix_scores
     keys are sorted as strings, as sort_keys sorts them.
     """
-    scores = truth["prefix_scores"]
+    # each distinct oracle-pair prefix is rendered once; sibling pairs share one
+    prefixes = {p: _strings(p, _SUBITEM) for p in {tuple(p) for p, _, _ in truth["oracle_pairs"]}}
     fields = [
         '"instance_id": ' + _string(truth["instance_id"]),
         '"oracle_pairs": ' + _block("[]", [
-            _block("[]", [_strings(prefix, _SUBITEM), _string(chosen), _string(rejected)], _ITEM)
+            f"[\n{_SUBITEM}{prefixes[tuple(prefix)]},\n{_SUBITEM}{_string(chosen)},"
+            f"\n{_SUBITEM}{_string(rejected)}\n{_ITEM}]"
             for prefix, chosen, rejected in truth["oracle_pairs"]
         ], _FIELD),
         '"planted_pairs": ' + _block("[]", [
@@ -217,8 +217,8 @@ def render_truth(truth: dict[str, Any]) -> str:
             for p in truth["planted_pairs"]
         ], _FIELD),
         '"prefix_scores": ' + _block("{}", [
-            f"{_string(key)}: [\n{_SUBITEM}{scores[key][0]},\n{_SUBITEM}{scores[key][1]}\n{_ITEM}]"
-            for key in sorted(scores)
+            f"{_string(key)}: [\n{_SUBITEM}{s},\n{_SUBITEM}{n}\n{_ITEM}]"
+            for key, (s, n) in sorted(truth["prefix_scores"].items())
         ], _FIELD),
         '"retained": ' + _strings(truth["retained"], _FIELD),
     ]
@@ -280,10 +280,9 @@ def brute_force_pairs(
     for parent, actions in children.items():
         if len(actions) < 2:
             continue
-        for i, a in enumerate(actions):
-            for b in actions[i + 1 :]:
-                sa, na = prefix_scores[parent + (a,)]
-                sb, nb = prefix_scores[parent + (b,)]
+        counts = [(a, *prefix_scores[parent + (a,)]) for a in actions]
+        for i, (a, sa, na) in enumerate(counts):
+            for b, sb, nb in counts[i + 1 :]:
                 cross = (sa * nb - sb * na) * den
                 bound = num * na * nb
                 if cross > bound:

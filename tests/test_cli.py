@@ -11,7 +11,7 @@ import sys
 import tempfile
 import threading
 import weakref
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +119,25 @@ class TestExitCodes:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: cannot read config")
+
+    @pytest.mark.parametrize("route, text", [
+        ("flag", '{"a":' * 100_000),
+        ("env", "[" * 100_000),
+    ])
+    def test_deeply_nested_config_exits_1(
+        self, route, text, corpus_path, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["all", "--input", str(corpus_path), "--out-dir", str(out)]
+        if route == "flag":
+            argv = ["--config", str(cfg), *argv]
+        else:
+            monkeypatch.setenv("TRAJTREE_CONFIG", str(cfg))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
+        assert not out.exists()
 
     def test_out_dir_is_a_file_exits_1(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -961,6 +980,130 @@ class TestLossCommand:
         out = tmp_path / "loss_out.jsonl"
         assert main(["loss", "--input", str(path), "--output", str(out)]) == 0
         assert json.loads(out.read_text())["loss"] == 1.0
+
+
+def json_bytes(documents):
+    """JSON lines of `documents`, NaN and Infinity included as Python writes them."""
+    return st.lists(documents, min_size=1, max_size=3).map(
+        lambda docs: "".join(json.dumps(doc) + "\n" for doc in docs).encode("utf-8")
+    )
+
+
+def hostile_bytes(documents, big_number_templates):
+    """Any bytes; JSON lines of `documents`; nesting past the decoder's depth
+    limit; a template with its N a 5,000-digit integer; and JSON lines made
+    non-UTF-8."""
+    return st.one_of(
+        st.binary(max_size=80),
+        json_bytes(documents),
+        st.builds(
+            lambda opener, depth: opener * depth,
+            st.sampled_from([b"[", b'{"a":', b'{"a":[']), st.integers(1, 100_000),
+        ),
+        st.builds(
+            lambda template, sign: template.replace(b"N", sign + b"7" * 5_000),
+            st.sampled_from(big_number_templates), st.sampled_from([b"", b"-"]),
+        ),
+        st.builds(
+            lambda doc, junk: doc[:-2] + b"\xff" + junk + doc[-2:],
+            json_bytes(documents), st.binary(max_size=3),
+        ),
+    )
+
+
+config_documents = st.dictionaries(
+    st.sampled_from(sorted(cli._CONFIG_DEFAULTS)) | st.text(max_size=4),
+    json_values | st.sampled_from(["1/2", "0.3", "1e-5000", "strict", "max-min", "mean"]),
+    max_size=4,
+)
+corpus_documents = json_values | st.fixed_dictionaries(
+    {
+        "instance_id": st.sampled_from(["a", "b"]) | json_values,
+        "trajectory_id": st.text(max_size=3) | json_values,
+        "prompt": st.just("p") | json_values,
+        "steps": json_values | st.lists(st.fixed_dictionaries(
+            {"action": st.text(max_size=4) | json_values},
+            optional={"observation": st.text(max_size=4) | json_values},
+        ), max_size=3),
+        "resolved": st.sampled_from([0, 1]) | json_values,
+    },
+    optional={"meta": json_values},
+)
+_logps = st.lists(st.floats() | st.integers(), max_size=3) | json_values
+_number_or_any = st.floats() | st.integers() | json_values
+loss_documents = json_values | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["sft", "dpo", "other"])},
+    optional=dict(
+        action_logps=_logps, observation_logps=_logps, policy_chosen=_number_or_any,
+        policy_rejected=_number_or_any, ref_chosen=_number_or_any, ref_rejected=_number_or_any,
+        beta=_number_or_any, reduction=st.sampled_from(["sum", "mean", "max"]) | json_values,
+    ),
+)
+
+# two trajectories under one instance, for tests that cannot take the corpus_path fixture
+CORPUS_TEXT = "".join(
+    serialize_trajectory(make_traj(tid, [("search", "o"), ("edit", "o"), (last, None)], resolved)) + "\n"
+    for tid, last, resolved in (("t1", "test", 1), ("t2", "submit", 0))
+)
+
+
+def check_fuzzed_run(argv: list[str], tmp: Path, outputs: list[Path]) -> None:
+    """`main(argv)` exits 0 having added exactly the `outputs` files to `tmp`,
+    or exits 1 or 2 with an `error:` line having added no file."""
+    inputs = sorted(tmp.rglob("*"))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or err.getvalue().startswith("error: ")
+    files = sorted(p for p in tmp.rglob("*") if p.is_file())
+    assert files == sorted(inputs + (outputs if code == 0 else []))
+
+
+class TestFuzzedInputs:
+    """Any bytes as the corpus, the --config file or the loss input end with
+    exit 0, 1 or 2, an `error:` line on failure, no traceback and no output
+    files."""
+
+    @given(
+        hostile_bytes(corpus_documents, [
+            b'{"instance_id": "a", "trajectory_id": "t", "prompt": "p",'
+            b' "steps": [{"action": "x"}], "resolved": N}',
+        ]),
+        st.sampled_from(["all", "ingest", "tree", "stats"]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_corpus(self, data, command, lenient):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp, "corpus.jsonl"), Path(tmp, "out")
+            corpus.write_bytes(data)
+            argv = [command, "--input", str(corpus), "--out-dir", str(out)]
+            outputs = [out / name for name in COMMAND_OUTPUTS[command]]
+            check_fuzzed_run(argv + ["--lenient"] * lenient, Path(tmp), outputs)
+
+    @given(hostile_bytes(config_documents, [b'{"seed": N}', b'{"jobs": N}', b'{"critical_threshold": N}']))
+    @settings(max_examples=80, deadline=None)
+    def test_any_config_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, cfg, out = Path(tmp, "corpus.jsonl"), Path(tmp, "cfg.json"), Path(tmp, "out")
+            corpus.write_text(CORPUS_TEXT, encoding="utf-8")
+            cfg.write_bytes(data)
+            argv = ["--config", str(cfg), "all", "--input", str(corpus), "--out-dir", str(out)]
+            check_fuzzed_run(argv, Path(tmp), [out / name for name in COMMAND_OUTPUTS["all"]])
+
+    @given(hostile_bytes(loss_documents, [
+        b'{"kind": "sft", "action_logps": [N]}',
+        b'{"kind": "dpo", "policy_chosen": N, "policy_rejected": -2, "ref_chosen": -1,'
+        b' "ref_rejected": -2, "beta": 0.1}',
+    ]))
+    @settings(max_examples=80, deadline=None)
+    def test_any_loss_input(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            records, output = Path(tmp, "loss_in.jsonl"), Path(tmp, "loss_out.jsonl")
+            records.write_bytes(data)
+            argv = ["loss", "--input", str(records), "--output", str(output)]
+            check_fuzzed_run(argv, Path(tmp), [output])
 
 
 class TestNoPartialOutput:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trajtree.cli import json_doc, main
 from trajtree.errors import ConfigError
 from trajtree.ingest import ingest_trajectories
-from trajtree.model import serialize_trajectory
+from trajtree.model import CanonConfig, Step, Trajectory, key_memo, serialize_trajectory
 from trajtree.pipeline import (
     StageConfig,
     node_prefix_scores,
@@ -19,13 +19,17 @@ from trajtree.pipeline import (
 )
 from trajtree.synth import (
     SynthConfig,
+    _attach_observations,
+    _intended_retained,
     brute_force_pairs,
     brute_force_scores,
     generate,
+    iter_instances,
     render_truth,
     truth_chunks,
 )
 
+import synth_reference as reference
 from conftest import make_traj
 
 
@@ -207,6 +211,32 @@ class TestSynthFiles:
             "466d83f6b7ff4b4258bb6ee2ed7caf20aaccbd901171bfbc9339cecdd65e27ff",
             "b5a3ebfa56f1042fc9549961b702e553c0c863abf42c306f47128d55973fd286",
         )),
+        # the shapes below were recorded before the per-step and per-pair
+        # rewrite of synth.py's observation, filter, pair and truth code
+        "single-branch": (["--branching", "1", "--depth", "2"], (
+            "c346b8dcb78315a719db41c6755093fe4ea02e800dc0050dc2164cf04007e833",
+            "7f8519dcd6f9751f38e4fb1fd6517b55b1434b7f4b0b2c796b4647c33d5a50c7",
+        )),
+        "unplanted": (["--depth", "1"], (
+            "0cde1b2ef8b9b48d717c3c513a9ca103fdf44dd25314efaae861382b54f5595e",
+            "58c8fc9fd41b35495852257b68a978d2b2e000921c6074402570e2ffbe5b1275",
+        )),
+        "duplicates": (["--duplicate-rate", "1"], (
+            "e2d347541397bed013393d255f4a38408421e71016ae728ce70979067401ecfb",
+            "6c2b7bcd7e690d5fe63056d2e19ff7d707dadf9ca6176ea3446db464abeee0bc",
+        )),
+        "loops": (["--loop-rate", "1", "--depth", "4"], (
+            "910e97f0a0e18182c1f7a28dfda391d3484f2dfc3f5240d5c2ce3075aec99672",
+            "b686ac058db4e1d2a7777e938e00256234bd0abac25528a1761f12e3460d239f",
+        )),
+        "outliers": (["--outlier-rate", "1"], (
+            "7c8a1602dcea90a49da89772ebb498199a6d6bbd7ce3eda986a5ac69d5cba2d7",
+            "7dc928f94b94f02b1fae49b392ccf1b8c76824087190260e9e306f261e4cf13b",
+        )),
+        "planted": (["--planted-critical", "3", "--trajectories-per-instance", "5"], (
+            "b77903f9d0bc6a36d3099c63c13acf31e22b36ad667423d82c62971a57dc110a",
+            "da98df8b59924089736d04fd43b940b6217ad4da0a331ef975fe2a4bcbd21eb5",
+        )),
     }
 
     @pytest.mark.parametrize("shape", GOLDEN)
@@ -278,3 +308,96 @@ class TestSynthFiles:
         assert main(["synth", "--depth", "0", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+def assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:
+    """Equal field by field, with Step steps and the same action_keys memo."""
+    assert type(got) is Trajectory
+    for name in Trajectory._fields:
+        assert getattr(got, name) == getattr(want, name), name
+    assert all(type(step) is Step for step in got.steps)
+    assert got._keys == want._keys
+    assert got.action_keys() == want.action_keys()
+
+
+class TestMatchesReference:
+    """The synth functions against their copies in synth_reference.py, taken
+    before their per-step and per-pair costs were cut."""
+
+    @given(st.builds(
+        SynthConfig,
+        seed=st.integers(0, 10_000),
+        instances=st.integers(1, 4),
+        branching=st.integers(1, 4),
+        depth=st.integers(1, 12),
+        trajectories_per_instance=st.integers(0, 12),
+        planted_critical=st.integers(0, 3),
+        loop_rate=st.floats(0, 0.5),
+        outlier_rate=st.floats(0, 0.5),
+        duplicate_rate=st.floats(0, 0.5),
+        divergent_observations=st.booleans(),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_instances(self, cfg):
+        key_of = key_memo(CanonConfig())
+        for ts, truth in iter_instances(cfg):
+            for t in ts:
+                actions = [step.action for step in t.steps]
+                omitted = t.steps[-1].observation is None
+                args = (t.instance_id, t.trajectory_id, actions, t.resolved, t.prompt,
+                        cfg.divergent_observations)
+                assert_same_trajectory(t, reference.attach_observations(*args, omitted, key_of))
+                for omit in (False, True):
+                    assert_same_trajectory(
+                        _attach_observations(*args, omit, key_of),
+                        reference.attach_observations(*args, omit, key_of),
+                    )
+            retained = reference.intended_retained(ts)
+            assert [id(t) for t in _intended_retained(ts)] == [id(t) for t in retained]
+            scores = brute_force_scores(retained)
+            pairs = reference.brute_force_pairs(scores)
+            assert brute_force_pairs(scores) == pairs
+            assert truth["retained"] == [t.trajectory_id for t in retained]
+            assert truth["oracle_pairs"] == sorted([list(p), c, r] for p, c, r in pairs)
+            assert render_truth(truth) == reference.render_truth(truth)
+
+    @given(st.lists(st.tuples(
+        st.integers(0, 1), st.lists(st.sampled_from(["a", "b", " b", "c"]), min_size=1, max_size=7),
+    ), max_size=10))
+    def test_intended_retained(self, records):
+        ts = [
+            make_traj(f"t{i}", [(a, "o") for a in actions[:-1]] + [(actions[-1], None)], resolved)
+            for i, (resolved, actions) in enumerate(records)
+        ]
+        got = _intended_retained(ts)
+        assert [id(t) for t in got] == [id(t) for t in reference.intended_retained(ts)]
+
+    @given(
+        st.dictionaries(
+            st.lists(st.sampled_from("abcd"), max_size=4).map(tuple),
+            st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+            max_size=40,
+        ),
+        st.fractions(0, 1, max_denominator=12),
+    )
+    def test_brute_force_pairs(self, prefix_scores, threshold):
+        got = brute_force_pairs(prefix_scores, threshold)
+        assert got == reference.brute_force_pairs(prefix_scores, threshold)
+
+    @given(st.fixed_dictionaries({
+        "instance_id": st.text(min_size=1),
+        "retained": st.lists(st.text(), max_size=3),
+        "prefix_scores": st.dictionaries(
+            st.text(), st.tuples(st.integers(0, 9), st.integers(1, 9)).map(list), max_size=4,
+        ),
+        "planted_pairs": st.lists(st.fixed_dictionaries({
+            "prefix": st.lists(st.text(), max_size=3), "chosen": st.text(), "rejected": st.text(),
+        }), max_size=2),
+        # oracle pairs share prefixes, as a tree's siblings do
+        "oracle_pairs": st.lists(st.tuples(
+            st.sampled_from([[], ["a"], ["a", "b"]]) | st.lists(st.text(), max_size=3),
+            st.text(), st.text(),
+        ).map(list), max_size=6),
+    }))
+    def test_render_truth(self, truth):
+        assert render_truth(truth) == reference.render_truth(truth)
