@@ -1,9 +1,10 @@
 """Stage orchestration shared by the CLI: the stage and synth configs,
-per-instance processing and selfcheck.
+per-instance mining and selfcheck.
 
-Tree building, scoring and pair extraction run one instance at a time,
-in first-appearance instance order. Only `selfcheck` needs the synthetic
-generator and its brute-force oracles, so it imports them itself.
+`mine_instance` gives the per-node lists the CLI writes every file from.
+`selfcheck` checks them, one synthetic instance at a time, against the
+brute-force oracles; only it needs the generator and the oracles, so it
+imports them itself.
 """
 
 from __future__ import annotations
@@ -73,94 +74,70 @@ def mine_instance(
     return tree, successes, totals, distinct_triples(tree, triples)
 
 
-def process_instance(instance_id: str, ts: list[Trajectory], config: StageConfig) -> InstanceResult:
-    """`mine_instance` as a tree, `NodeScore`s and `CriticalPair`s."""
-    tree, _, _, triples = mine_instance(instance_id, ts, config)
-    scores = score_nodes(tree)
-    return InstanceResult(tree, scores, extract_critical_pairs(tree, triples, scores))
-
-
 def process_instances(
     groups: dict[str, list[Trajectory]], config: StageConfig
 ) -> dict[str, InstanceResult]:
-    """`process_instance` per instance, in the groups' key order."""
-    return {name: process_instance(name, ts, config) for name, ts in groups.items()}
-
-
-def node_prefix_scores(
-    tree: TrajTree, scores: dict[int, NodeScore]
-) -> dict[tuple[str, ...], tuple[int, int]]:
-    """Node scores keyed by canonical action prefix (action-only merge mode)."""
-    return {
-        tuple(tree.action_key[i] for i in path_ids(tree, node_id)): (s.successes, s.total)
-        for node_id, s in scores.items()
-        if tree.outcome[node_id] is None
-    }
-
-
-def pairs_as_prefix_set(
-    pairs: list[CriticalPair], canon: CanonConfig
-) -> set[tuple[tuple[str, ...], str, str]]:
-    from .model import canonicalize_action
-
-    def key(text: str) -> str:
-        return canonicalize_action(text, canon).key
-
-    return {
-        (tuple(key(s.content) for s in p.context if s.role == "action"),
-         key(p.chosen), key(p.rejected))
-        for p in pairs
-    }
+    """`mine_instance` per instance, in the groups' key order, as a tree,
+    `NodeScore`s and `CriticalPair`s."""
+    results = {}
+    for name, ts in groups.items():
+        tree, _, _, triples = mine_instance(name, ts, config)
+        scores = score_nodes(tree)
+        results[name] = InstanceResult(tree, scores, extract_critical_pairs(tree, triples, scores))
+    return results
 
 
 def selfcheck(synth_config: SynthConfig) -> dict[str, Any]:
-    """Synthesize a corpus, run the pipeline, and compare against the oracles.
+    """Generate a synthetic corpus one instance at a time; clean and mine each
+    as the CLI does, and compare its per-node counts and distinct triples,
+    keyed by canonical action prefix, with the brute-force oracles.
 
     Raises InvariantError on any disagreement; returns a summary record.
-    Uses default filtration parameters to match the generated ground truth.
+    Uses the default StageConfig, which the generated ground truth assumes.
     """
-    from .synth import brute_force_pairs, brute_force_scores, generate
+    from .synth import brute_force_pairs, brute_force_scores, iter_instances
 
-    corpus, truth = generate(synth_config)
-    groups, report = ingest_trajectories(corpus)
     stage = StageConfig()
-    results = process_instances(groups, stage)
-
-    checked_instances = 0
-    pair_total = 0
-    for instance_id, truth_rec in truth["instances"].items():
+    checked_instances = pair_total = input_count = retained_count = 0
+    for ts, truth in iter_instances(synth_config):
+        instance_id = truth["instance_id"]
+        groups, report = ingest_trajectories(ts)
+        input_count += report.input_count
+        retained_count += report.retained
         retained = groups.get(instance_id, [])
-        if set(t.trajectory_id for t in retained) != set(truth_rec["retained"]):
+        if set(t.trajectory_id for t in retained) != set(truth["retained"]):
             raise InvariantError(f"{instance_id}: retained set differs from ground truth")
         if not retained:
             continue
-        result = results[instance_id]
+        tree, successes, totals, triples = mine_instance(instance_id, retained, stage)
         # path reconstruction: leaves must reproduce the retained set exactly
-        got_paths = {
-            (keys, outcome) for keys, outcome, _ in enumerate_paths(result.tree)
-        }
+        got_paths = {(keys, outcome) for keys, outcome, _ in enumerate_paths(tree)}
         want_paths = {(t.action_keys(), t.resolved) for t in retained}
         if got_paths != want_paths:
             raise InvariantError(f"{instance_id}: tree paths differ from retained set")
+        key = tree.action_key
+        prefix = {  # the root and every action node: the action keys on its path
+            i: tuple(key[j] for j in path_ids(tree, i))
+            for i, outcome in enumerate(tree.outcome) if outcome is None
+        }
         oracle_scores = brute_force_scores(retained)
-        if node_prefix_scores(result.tree, result.scores) != oracle_scores:
+        if {p: (successes[i], totals[i]) for i, p in prefix.items()} != oracle_scores:
             raise InvariantError(f"{instance_id}: node scores disagree with oracle")
         oracle_pairs = brute_force_pairs(oracle_scores, stage.critical_threshold)
-        got_pairs = pairs_as_prefix_set(result.pairs, stage.canon)
-        if got_pairs != oracle_pairs:
+        if {(prefix[p], key[c], key[r]) for p, c, r in triples} != oracle_pairs:
             raise InvariantError(f"{instance_id}: critical pairs disagree with oracle")
-        for planted in truth_rec["planted_pairs"]:
-            key = (tuple(planted["prefix"]), planted["chosen"], planted["rejected"])
-            if key not in oracle_pairs:
+        for planted in truth["planted_pairs"]:
+            pair = (tuple(planted["prefix"]), planted["chosen"], planted["rejected"])
+            if pair not in oracle_pairs:
                 raise InvariantError(f"{instance_id}: planted pair missing from oracle")
         checked_instances += 1
-        pair_total += len(result.pairs)
+        pair_total += len(triples)
     return {
         "status": "ok",
         "seed": synth_config.seed,
         "instances_generated": synth_config.instances,
         "instances_checked": checked_instances,
-        "trajectories_input": report.input_count,
-        "trajectories_retained": report.retained,
+        "trajectories_input": input_count,
+        "trajectories_retained": retained_count,
         "critical_pairs": pair_total,
     }

@@ -1,6 +1,7 @@
 import pytest
 
 from trajtree.model import Step, Trajectory
+from trajtree.tree import path_ids
 
 PROMPT = "Fix the failing unit test in repo X."
 
@@ -18,6 +19,22 @@ def make_traj(trajectory_id, actions_obs, resolved, instance_id="inst-fix-x", pr
         steps=steps,
         resolved=resolved,
     )
+
+
+def prefix_scores(tree, successes, totals):
+    """`mine_instance`'s counts at the root and every action node, keyed by
+    the canonical action keys on its path, as `brute_force_scores` keys them."""
+    return {
+        tuple(tree.action_key[j] for j in path_ids(tree, i)): (successes[i], totals[i])
+        for i, outcome in enumerate(tree.outcome) if outcome is None
+    }
+
+
+def prefix_pairs(tree, triples):
+    """`mine_instance`'s triples as (parent's key prefix, chosen key,
+    rejected key), as `brute_force_pairs` gives them."""
+    key = tree.action_key
+    return {(tuple(key[j] for j in path_ids(tree, p)), key[c], key[r]) for p, c, r in triples}
 
 
 @pytest.fixture

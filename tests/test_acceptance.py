@@ -17,17 +17,12 @@ from trajtree.emit import emit_sft, emit_stats
 from trajtree.ingest import filter_loops, filter_outliers, group_by_instance, ingest_trajectories
 from trajtree.losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
 from trajtree.model import serialize_trajectory
-from trajtree.pipeline import (
-    StageConfig,
-    node_prefix_scores,
-    pairs_as_prefix_set,
-    process_instances,
-)
+from trajtree.pipeline import StageConfig, mine_instance, process_instances
 from trajtree.scoring import extract_critical_pairs, identify_critical_actions, score_nodes
 from trajtree.synth import SynthConfig, brute_force_pairs, brute_force_scores, generate
 from trajtree.tree import ACTION, LEAF, build_tree, enumerate_paths
 
-from conftest import PROMPT, make_traj
+from conftest import PROMPT, make_traj, prefix_pairs, prefix_scores
 
 
 def _passed(name: str) -> None:
@@ -35,7 +30,7 @@ def _passed(name: str) -> None:
 
 
 def test_criterion_1_oracle_equivalence():
-    """Pipeline scores and pairs match brute-force oracles on >= 200 instances."""
+    """`mine_instance`'s counts and triples match brute-force oracles on >= 200 instances."""
     start = time.monotonic()
     checked = 0
     rng = random.Random(20260826)
@@ -53,14 +48,12 @@ def test_criterion_1_oracle_equivalence():
         )
         corpus, _ = generate(cfg)
         groups, _ = ingest_trajectories(corpus)
-        results = process_instances(groups, StageConfig())
         for instance_id, ts in groups.items():
-            result = results[instance_id]
+            tree, successes, totals, triples = mine_instance(instance_id, ts, StageConfig())
             oracle_scores = brute_force_scores(ts)
-            assert node_prefix_scores(result.tree, result.scores) == oracle_scores
+            assert prefix_scores(tree, successes, totals) == oracle_scores
             oracle_pairs = brute_force_pairs(oracle_scores, Fraction(1, 2))
-            got = pairs_as_prefix_set(result.pairs, StageConfig().canon)
-            assert got == oracle_pairs
+            assert prefix_pairs(tree, triples) == oracle_pairs
             checked += 1
     elapsed = time.monotonic() - start
     assert checked >= 200, checked

@@ -1,22 +1,21 @@
+import gc
 import hashlib
+import io
 import tempfile
+import tracemalloc
+from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajtree import pipeline, synth
 from trajtree.cli import json_doc, main
-from trajtree.errors import ConfigError
+from trajtree.errors import ConfigError, InvariantError
 from trajtree.ingest import ingest_trajectories
 from trajtree.model import CanonConfig, Step, Trajectory, key_memo, serialize_trajectory
-from trajtree.pipeline import (
-    StageConfig,
-    node_prefix_scores,
-    pairs_as_prefix_set,
-    process_instances,
-    selfcheck,
-)
+from trajtree.pipeline import StageConfig, mine_instance, selfcheck
 from trajtree.synth import (
     SynthConfig,
     _attach_observations,
@@ -30,7 +29,7 @@ from trajtree.synth import (
 )
 
 import synth_reference as reference
-from conftest import make_traj
+from conftest import make_traj, prefix_pairs, prefix_scores
 
 
 class TestGenerate:
@@ -168,13 +167,104 @@ class TestPipelineAgainstOracle:
     def test_oracle_agreement_explicit(self):
         corpus, _ = generate(SynthConfig(seed=11, instances=12))
         groups, _ = ingest_trajectories(corpus)
-        results = process_instances(groups, StageConfig())
         for instance_id, ts in groups.items():
-            result = results[instance_id]
+            tree, successes, totals, triples = mine_instance(instance_id, ts, StageConfig())
             oracle = brute_force_scores(ts)
-            assert node_prefix_scores(result.tree, result.scores) == oracle
-            got = pairs_as_prefix_set(result.pairs, StageConfig().canon)
-            assert got == brute_force_pairs(oracle, Fraction(1, 2))
+            assert prefix_scores(tree, successes, totals) == oracle
+            assert prefix_pairs(tree, triples) == brute_force_pairs(oracle, Fraction(1, 2))
+
+    def test_selfcheck_never_calls_generate(self, monkeypatch):
+        def whole_corpus(config):
+            raise AssertionError("selfcheck built the whole corpus")
+
+        monkeypatch.setattr(synth, "generate", whole_corpus)
+        assert selfcheck(SynthConfig(seed=4, instances=5))["status"] == "ok"
+
+    def test_selfcheck_peak_memory_is_one_instance(self):
+        def peak(instances: int) -> int:
+            tracemalloc.start()
+            try:
+                selfcheck(cfg._replace(instances=instances))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # `tuple(iterator)` resizes a free 10-tuple, and freeing the result
+        # puts it on the free list of its own size (CPython keeps up to 2,000
+        # per size; a full collection empties them). So those lists fill up as
+        # a run goes on, as traced memory that no instance holds. Filled before
+        # tracing, with collections off, they stay full.
+        cfg = SynthConfig(seed=1, trajectories_per_instance=20, depth=12, branching=2)
+        gc.disable()
+        try:
+            spare = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+            del spare
+            small, large = peak(10), peak(100)
+        finally:
+            gc.enable()
+        assert large <= 2 * small, (small, large)
+
+
+def _wrap(monkeypatch, module, name, change):
+    """Replace `module.name` by a call that passes its result through `change`."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(original(*args)))
+
+
+def _drop_one_retained(cleaned):
+    groups, report = cleaned
+    return {name: ts[:-1] for name, ts in groups.items()}, report
+
+
+def _flip_one_outcome(mined):
+    outcome = mined[0].outcome
+    leaf = next(i for i, value in enumerate(outcome) if value is not None)
+    outcome[leaf] = 1 - outcome[leaf]
+    return mined
+
+
+def _miscount_one_node(mined):
+    tree, successes = mined[0], mined[1]
+    successes[next(i for i, key in enumerate(tree.action_key) if key is not None)] += 1
+    return mined
+
+
+def _swap_every_pair(mined):
+    tree, successes, totals, triples = mined
+    return tree, successes, totals, [(p, rejected, chosen) for p, chosen, rejected in triples]
+
+
+def _swap_planted_pairs(instances):
+    for ts, truth in instances:
+        planted = [{**p, "chosen": p["rejected"], "rejected": p["chosen"]}
+                   for p in truth["planted_pairs"]]
+        yield ts, {**truth, "planted_pairs": planted}
+
+
+class TestSelfcheckFaults:
+    """Each check fails on its own fault: selfcheck raises its message, and
+    the CLI prints it and exits 3."""
+
+    FAULTS = {
+        "retained set differs from ground truth":
+            (pipeline, "ingest_trajectories", _drop_one_retained),
+        "tree paths differ from retained set": (pipeline, "mine_instance", _flip_one_outcome),
+        "node scores disagree with oracle": (pipeline, "mine_instance", _miscount_one_node),
+        "critical pairs disagree with oracle": (pipeline, "mine_instance", _swap_every_pair),
+        "planted pair missing from oracle": (synth, "iter_instances", _swap_planted_pairs),
+    }
+
+    @pytest.mark.parametrize("message", FAULTS)
+    def test_fault_fails_its_check(self, message, monkeypatch):
+        cfg = SynthConfig(seed=5, instances=3)
+        assert selfcheck(cfg)["status"] == "ok"
+        _wrap(monkeypatch, *self.FAULTS[message])
+        with pytest.raises(InvariantError, match=f"^inst0000: {message}$"):
+            selfcheck(cfg)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["selfcheck", "--seed", "5", "--instances", "3"]) == 3
+        assert err.getvalue() == f"error: inst0000: {message}\n"
 
 
 def synth_files(cfg: SynthConfig, out: Path) -> dict[str, bytes]:
