@@ -24,8 +24,8 @@ _MODULES = {
         "DpoGrad", "DpoInputs", "TrajectoryLogProbs", "dpo_loss", "dpo_loss_grad", "sft_loss",
     ),
     "model": (
-        "CanonConfig", "CanonicalAction", "Step", "Trajectory", "canonicalize_action",
-        "parse_trajectory_stream", "serialize_trajectory",
+        "CanonConfig", "Step", "Trajectory", "canonicalize_action", "parse_trajectory_stream",
+        "serialize_trajectory",
     ),
     "pipeline": ("SynthConfig",),
     "scoring": (

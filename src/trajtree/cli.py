@@ -28,7 +28,7 @@ from .emit import stats_from_totals
 from .errors import ConfigError, InputError, InvariantError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .model import (
-    CanonConfig, Trajectory, _encode, _int, _Record, _string, iter_trajectories,
+    CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories,
     serialize_trajectory,
 )
 from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
@@ -203,12 +203,10 @@ COMMAND_OUTPUTS: dict[str, tuple[str, ...]] = {
 COMMAND_OUTPUTS["all"] = tuple(name for row in COMMAND_OUTPUTS.values() for name in row)
 
 
-class _Instance(_Record):
+class _Instance:
     """One instance's trajectories and, built on first use, its mined tree and
     the pieces every file's lines for it are spliced from. It is dropped
     before the next instance's tree is built."""
-
-    _fields = ("instance_id", "ts", "stage")
 
     def __init__(self, instance_id: str, ts: list[Trajectory], stage: StageConfig) -> None:
         self.instance_id, self.ts, self.stage = instance_id, ts, stage
@@ -291,12 +289,9 @@ def _context(tree: TrajTree, parent_id: int) -> str:
     return f',"context":[{{"role":"prompt","content":{_string(tree.prompt)}}}{segments}]'
 
 
-class _Run(_Record):
+class _Run:
     """One dataset command's whole-corpus state: the ingest report, and the
     counts stats.json and the sft warning are made from."""
-
-    _fields = ("config", "report", "totals", "instances", "pair_count", "divergences",
-               "sft_examples")
 
     def __init__(self, config: dict[str, Any], report: IngestReport | None) -> None:
         self.config, self.report = config, report

@@ -54,22 +54,17 @@ class CanonConfig(NamedTuple):
     collapse_whitespace: bool = True
 
 
-class CanonicalAction(NamedTuple):
-    key: str  # normalized text used for node identity
-    raw: str  # original text, emitted verbatim downstream
-
-
-def canonicalize_action(raw: str, config: CanonConfig = CanonConfig()) -> CanonicalAction:
-    """Normalize an action for equality: trim, optionally collapse whitespace runs.
+def canonicalize_action(raw: str, config: CanonConfig = CanonConfig()) -> str:
+    """The merge key of an action: trimmed, optionally with whitespace runs collapsed.
 
     "Whitespace" is what `str.isspace` accepts, so the collapsed key is
     `re.sub(r"\\s+", " ", raw.strip())`. An action that is already its own
-    key returns `raw` itself as the key, so the two share one string.
+    key returns `raw` itself, so the two share one string.
     """
     key = " ".join(raw.split()) if config.collapse_whitespace else raw.strip()
     if not key:
         raise InputError("empty action after canonicalization")
-    return CanonicalAction(key=raw if key == raw else key, raw=raw)
+    return raw if key == raw else key
 
 
 class Step(NamedTuple):
@@ -126,6 +121,8 @@ class Trajectory(_Record):
         for i, step in enumerate(steps[:-1]):
             if step.observation is None:
                 raise InputError(f"step {i} is non-final but has no observation")
+        if meta is not None and not isinstance(meta, dict):
+            raise InputError("meta must be an object")
         self.__dict__.update(
             instance_id=instance_id, trajectory_id=trajectory_id, prompt=prompt, steps=steps,
             resolved=resolved, meta={} if meta is None else meta, _keys={},
@@ -140,13 +137,13 @@ class Trajectory(_Record):
         """Canonical merge keys for the action sequence, computed once per config."""
         keys = self._keys.get(config)
         if keys is None:
-            keys = tuple(canonicalize_action(s.action, config).key for s in self.steps)
+            keys = tuple(canonicalize_action(s.action, config) for s in self.steps)
             self._keys[config] = keys
         return keys
 
 
 def key_memo(canon: CanonConfig) -> Callable[[str], str]:
-    """`canonicalize_action(raw, canon).key`, memoized for up to
+    """`canonicalize_action(raw, canon)`, memoized for up to
     `_KEY_MEMO_SIZE` distinct actions at a time."""
     memo: dict[str, str] = {}
 
@@ -155,7 +152,7 @@ def key_memo(canon: CanonConfig) -> Callable[[str], str]:
         if key is None:
             if len(memo) >= _KEY_MEMO_SIZE:
                 memo.clear()
-            key = memo[raw] = canonicalize_action(raw, canon).key
+            key = memo[raw] = canonicalize_action(raw, canon)
         return key
 
     return key_of
@@ -189,10 +186,10 @@ def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) ->
             raise InputError(f"step {i} observation is not a string")
         keys.append(key_of(action))  # rejects blank actions
         steps.append(tuple.__new__(Step, (action, obs)))  # Step(action, obs), but cheaper
-    meta = obj.get("meta") or {}
-    if not isinstance(meta, dict):
+    meta = obj.get("meta")
+    if meta is not None and not isinstance(meta, dict):
         raise InputError("meta must be an object")
-    meta = dict(meta)
+    meta = dict(meta or ())
     for key, value in obj.items():
         if key not in _KNOWN_FIELDS:
             meta[key] = value  # unknown fields survive round-trips via meta

@@ -50,17 +50,16 @@ class CriticalPair(NamedTuple):
 
 def subtree_counts(tree: TrajTree) -> tuple[list[int], list[int]]:
     """Successes and totals per node id: a leaf is its outcome over 1, an inner
-    node the sum over its children, in one sweep up `TrajTree.order`."""
+    node the sum over its children, in one sweep down the ids, so every child
+    is summed before its parent."""
     successes = [outcome or 0 for outcome in tree.outcome]
     totals = [0 if outcome is None else 1 for outcome in tree.outcome]
     parent = tree.parent
-    for node_id in reversed(tree.order[1:]):  # children before their parent
+    for node_id in range(len(parent) - 1, 0, -1):
         successes[parent[node_id]] += successes[node_id]
         totals[parent[node_id]] += totals[node_id]
-    if totals[tree.root_id] != tree.path_count:
-        raise InvariantError(
-            f"root path total {totals[tree.root_id]} != path_count {tree.path_count}"
-        )
+    if totals[0] != tree.path_count:
+        raise InvariantError(f"root path total {totals[0]} != path_count {tree.path_count}")
     return successes, totals
 
 
@@ -91,7 +90,7 @@ def critical_triples(
     num, den = threshold.numerator, threshold.denominator
     key, children = tree.action_key, tree.children
     triples: list[tuple[int, int, int]] = []
-    stack = [tree.root_id]
+    stack = [0]
     while stack:
         node_id = stack.pop()
         if len(children[node_id]) == 1:  # most nodes: the walk goes on or stops

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
-from .model import CanonConfig, Step, Trajectory, key_memo
+from .model import CanonConfig, Step, Trajectory, _string, key_memo
 from .pipeline import SynthConfig  # defined with StageConfig; importable from here too
 from .scoring import DEFAULT_THRESHOLD
 
@@ -172,7 +172,6 @@ def generate(config: SynthConfig) -> tuple[list[Trajectory], dict[str, Any]]:
 # json.dumps(indent=2, sort_keys=True, ensure_ascii=False) writes it. The
 # writer below renders it one instance record at a time, for the fixed schema
 # of `_generate_instance`'s records, instead of encoding one whole dict.
-_string = json.encoder.encode_basestring  # the string encoding of ensure_ascii=False
 _RECORD = " " * 4  # indent of an instance's key and its record's closing brace
 _FIELD = _RECORD + "  "
 _ITEM = _FIELD + "  "

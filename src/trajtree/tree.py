@@ -4,8 +4,10 @@ Internal nodes are actions (merged on canonical action key by default),
 leaves carry the binary outcome of one retained trajectory. Every
 root-to-leaf path reproduces exactly one retained trajectory.
 
-A tree is parallel lists indexed by node id; `TrajTree.nodes` is a
-`TreeNode` view of them, built when a library caller reads it.
+A tree is parallel lists indexed by node id. Ids are the tree's order:
+the root is node 0 and every child's id is above its parent's, so each
+sweep over a tree is a range over the ids. `TrajTree.nodes` is a
+`TreeNode` view of the lists, built when a library caller reads it.
 """
 
 from __future__ import annotations
@@ -36,34 +38,27 @@ class TreeNode(NamedTuple):  # one node as `TrajTree.nodes` presents it
 class TrajTree(_Record):
     """One instance's tree as lists indexed by node id: an action node has a key
     and its first-merged raw text, verbatim; a leaf an outcome and (provenance)
-    a trajectory_id; the root neither."""
+    a trajectory_id; the root neither. The root is node 0, and every other
+    node's parent has a lower id: `parent[0] == -1`, `0 <= parent[i] < i`."""
 
+    root_id = 0
     _fields = (
         "instance_id", "prompt", "path_count", "trajectory_ids", "observation_divergences",
         "parent", "action_key", "action_raw", "observation", "outcome", "trajectory_id",
-        "children", "root_id",
+        "children",
     )
 
     def __init__(
         self, instance_id: str, prompt: str, path_count: int, trajectory_ids: list[str],
         observation_divergences: int,  # merges where recorded observations disagreed
-        parent: list[int],  # -1 at the root
+        parent: list[int],
         action_key: list[str | None], action_raw: list[str | None], observation: list[str | None],
         outcome: list[int | None], trajectory_id: list[str | None], children: list[list[int]],
-        root_id: int = 0,
     ) -> None:
         self.__dict__.update(zip(self._fields, (
             instance_id, prompt, path_count, trajectory_ids, observation_divergences, parent,
-            action_key, action_raw, observation, outcome, trajectory_id, children, root_id,
+            action_key, action_raw, observation, outcome, trajectory_id, children,
         )))
-
-    @cached_property
-    def order(self) -> list[int]:
-        """Node ids breadth-first, so every node comes after its parent, whatever the ids."""
-        order = [self.root_id]
-        for node_id in order:
-            order.extend(self.children[node_id])
-        return order
 
     @cached_property
     def nodes(self) -> dict[int, TreeNode]:
@@ -72,7 +67,7 @@ class TrajTree(_Record):
             i: TreeNode(
                 i, ACTION if key is not None else ROOT if outcome is None else LEAF,
                 key, self.action_raw[i], self.observation[i], list(self.children[i]), outcome,
-                self.trajectory_id[i], None if i == self.root_id else self.parent[i],
+                self.trajectory_id[i], None if i == 0 else self.parent[i],
             )
             for i, (key, outcome) in enumerate(zip(self.action_key, self.outcome))
         }
@@ -155,7 +150,7 @@ def enumerate_paths(tree: TrajTree) -> list[tuple[tuple[str, ...], int, str]]:
 def path_ids(tree: TrajTree, node_id: int) -> list[int]:
     """Action node ids on the root-to-node path, in root-first order (node included)."""
     path = []
-    while node_id != tree.root_id:
+    while node_id:
         path.append(node_id)
         node_id = tree.parent[node_id]
     path.reverse()
@@ -164,13 +159,13 @@ def path_ids(tree: TrajTree, node_id: int) -> list[int]:
 
 def path_totals(tree: TrajTree) -> tuple[int, int, int, int]:
     """(paths, successful paths, char length, step count), the last two
-    summed over the root-to-leaf paths, from one top-down pass that gives
+    summed over the root-to-leaf paths, from one pass in id order that gives
     each action node its prefix's lengths."""
     chars, depth = [0] * len(tree.parent), [0] * len(tree.parent)
-    chars[tree.root_id] = len(tree.prompt)
+    chars[0] = len(tree.prompt)
     paths = successful = char_sum = step_sum = 0
     parent, raw, obs, outcome = tree.parent, tree.action_raw, tree.observation, tree.outcome
-    for node_id in tree.order[1:]:
+    for node_id in range(1, len(parent)):
         up = parent[node_id]
         if outcome[node_id] is not None:
             paths += 1

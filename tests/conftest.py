@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from trajtree.model import Step, Trajectory
+from trajtree.synth import SynthConfig
 from trajtree.tree import path_ids
 
 PROMPT = "Fix the failing unit test in repo X."
@@ -8,6 +10,20 @@ PROMPT = "Fix the failing unit test in repo X."
 O_SEARCH = "grep results: 3 matches in handlers.py"
 O_EDIT = "edit applied to handlers.py"
 O_DELETE = "removed handlers.py"
+
+
+synth_configs = st.builds(
+    SynthConfig,
+    seed=st.integers(0, 10_000),
+    instances=st.integers(1, 8),
+    branching=st.integers(1, 3),
+    depth=st.integers(1, 6),
+    trajectories_per_instance=st.integers(0, 8),
+    planted_critical=st.integers(0, 2),
+    loop_rate=st.floats(0, 0.4),
+    outlier_rate=st.floats(0, 0.4),
+    duplicate_rate=st.floats(0, 0.4),
+)
 
 
 def make_traj(trajectory_id, actions_obs, resolved, instance_id="inst-fix-x", prompt=PROMPT):

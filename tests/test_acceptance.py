@@ -1,22 +1,18 @@
 """End-to-end acceptance checks. Each test prints a PASS line on success."""
 
 import io
-import json
 import math
 import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
-import pytest
 
 from trajtree.cli import main
 from trajtree.emit import emit_sft, emit_stats
 from trajtree.ingest import filter_loops, filter_outliers, group_by_instance, ingest_trajectories
 from trajtree.losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
-from trajtree.model import serialize_trajectory
 from trajtree.pipeline import StageConfig, mine_instance, process_instances
 from trajtree.scoring import extract_critical_pairs, identify_critical_actions, score_nodes
 from trajtree.synth import SynthConfig, brute_force_pairs, brute_force_scores, generate

@@ -177,6 +177,20 @@ class TestExitCodes:
         assert report["malformed_skipped"] == 1
         assert report["retained"] == 3
 
+    @pytest.mark.parametrize("meta", [b"0", b"false", b'""', b"[]", b"[1]", b'"x"', b"1.5"])
+    def test_non_object_meta_is_malformed(self, meta, tmp_path, corpus_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        text = corpus_path.read_bytes()
+        line = text.splitlines()[0].replace(b'"meta":{}', b'"meta":' + meta)
+        bad.write_bytes(text + line + b"\n")
+        argv = ["ingest", "--input", str(bad)]
+        assert main([*argv, "--out-dir", str(tmp_path / "strict")]) == 2
+        assert capsys.readouterr().err == "error: line 4: meta must be an object\n"
+        out = tmp_path / "lenient"
+        assert main([*argv, "--out-dir", str(out), "--lenient"]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["malformed_skipped"] == 1 and report["retained"] == 3
+
     # JSON the decoder cannot follow: nesting too deep, an integer too long to convert
     UNDECODABLE = (b"[" * 100000, b'{"x": ' + b"9" * 5000 + b"}")
 

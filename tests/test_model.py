@@ -41,20 +41,17 @@ WHITESPACE = (
 
 class TestCanonicalize:
     def test_trims_whitespace(self):
-        assert canonicalize_action("  run_tests()\n").key == "run_tests()"
+        assert canonicalize_action("  run_tests()\n") == "run_tests()"
 
     def test_already_canonical(self):
-        assert canonicalize_action("edit(file='a.py')").key == "edit(file='a.py')"
+        assert canonicalize_action("edit(file='a.py')") == "edit(file='a.py')"
 
     def test_collapses_internal_runs(self):
-        assert canonicalize_action("a  b").key == "a b"
+        assert canonicalize_action("a  b") == "a b"
 
     def test_collapse_disabled(self):
         cfg = CanonConfig(collapse_whitespace=False)
-        assert canonicalize_action("a  b", cfg).key == "a  b"
-
-    def test_raw_preserved(self):
-        assert canonicalize_action("  x  ").raw == "  x  "
+        assert canonicalize_action("a  b", cfg) == "a  b"
 
     def test_empty_after_trim_is_error(self):
         with pytest.raises(InputError):
@@ -62,8 +59,8 @@ class TestCanonicalize:
 
     def test_unchanged_key_is_the_raw_string(self):
         for raw in ("edit", "open a.py"):
-            assert canonicalize_action(raw).key is raw
-            assert canonicalize_action(raw, CanonConfig(collapse_whitespace=False)).key is raw
+            assert canonicalize_action(raw) is raw
+            assert canonicalize_action(raw, CanonConfig(collapse_whitespace=False)) is raw
 
     def test_whitespace_is_every_isspace_code_point(self):
         assert WHITESPACE == "".join(
@@ -79,12 +76,12 @@ class TestCanonicalize:
             with pytest.raises(InputError):
                 canonicalize_action(raw, config)
         else:
-            assert canonicalize_action(raw, config).key == expected
+            assert canonicalize_action(raw, config) == expected
 
     @given(st.text(min_size=1).filter(lambda s: s.strip()))
     def test_idempotent(self, raw):
-        once = canonicalize_action(raw).key
-        assert canonicalize_action(once).key == once
+        once = canonicalize_action(raw)
+        assert canonicalize_action(once) == once
 
 
 class TestParse:
@@ -129,6 +126,11 @@ class TestParse:
         obj["extra"] = {"k": 3}
         ts, _ = parse_trajectory_stream(io.StringIO(json.dumps(obj) + "\n"))
         assert ts[0].meta["extra"] == {"k": 3}
+
+    def test_absent_or_null_meta_is_empty(self):
+        null_meta = json.dumps({**json.loads(VALID_LINE), "meta": None})
+        ts, skipped = parse_trajectory_stream(io.StringIO(VALID_LINE + "\n" + null_meta))
+        assert skipped == 0 and [t.meta for t in ts] == [{}, {}]
 
     def test_order_preserved(self):
         lines = []
@@ -223,6 +225,13 @@ _text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=0, max_size=30
 )
 _action = _text.filter(lambda s: s.strip())
+# any JSON value
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8,
+)
 
 
 @st.composite
@@ -255,6 +264,18 @@ class TestRoundTrip:
         t = Trajectory("i", "t", "p", (Step("a", "o"), Step("b")), resolved=0)
         obj = json.loads(serialize_trajectory(t))
         assert "observation" not in obj["steps"][-1]
+
+    @given(_json)
+    def test_any_meta_is_rejected_or_round_trips(self, meta):
+        # the constructor is as strict as the parser: what it accepts reads back equal
+        try:
+            t = Trajectory("i", "t", "p", (Step("a"),), resolved=1, meta=meta)
+        except InputError as exc:
+            assert str(exc) == "meta must be an object"
+            assert meta is not None and not isinstance(meta, dict)
+            return
+        parsed, skipped = parse_trajectory_stream(io.StringIO(serialize_trajectory(t) + "\n"))
+        assert skipped == 0 and parsed == [t]
 
     def test_empty_meta_emitted_and_round_trips(self):
         t = Trajectory("i", "t", "p", (Step("a"),), resolved=1)

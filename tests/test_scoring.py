@@ -15,7 +15,7 @@ from trajtree.scoring import (
     score_nodes,
 )
 from trajtree.synth import brute_force_scores
-from trajtree.tree import ACTION, LEAF, TrajTree, build_tree, path_ids
+from trajtree.tree import ACTION, TrajTree, build_tree
 
 from conftest import O_EDIT, O_SEARCH, PROMPT, make_traj
 
@@ -81,35 +81,6 @@ class TestScoreNodes:
         by_key = scores_by_key(fixture_tree, scores)
         s = by_key["edit"][0]
         assert (s.successes, s.total) == oracle[("search", "edit")]
-
-    def test_child_ids_below_their_parents(self, fixture_trajectories):
-        # renumber so that every child's id is lower than its parent's
-        tree = build_tree("inst-fix-x", PROMPT, fixture_trajectories)
-        top = len(tree.parent) - 1
-        renumbered = {
-            column: getattr(tree, column)[::-1]
-            for column in ("action_key", "action_raw", "observation", "outcome", "trajectory_id")
-        }
-        tree = TrajTree(
-            tree.instance_id, tree.prompt, tree.path_count, tree.trajectory_ids,
-            tree.observation_divergences,
-            parent=[-1 if p < 0 else top - p for p in tree.parent[::-1]],
-            children=[[top - c for c in kids] for kids in tree.children[::-1]],
-            root_id=top - tree.root_id,
-            **renumbered,
-        )
-        nodes = tree.nodes
-        assert all(c < n.node_id for n in nodes.values() for c in n.children)
-        scores = score_nodes(tree)
-        oracle = brute_force_scores(fixture_trajectories)
-        assert len(scores) == len(nodes)
-        for node in nodes.values():
-            s = scores[node.node_id]
-            if node.kind == LEAF:
-                assert (s.successes, s.total) == (node.outcome, 1)
-            else:
-                prefix = tuple(tree.action_key[i] for i in path_ids(tree, node.node_id))
-                assert (s.successes, s.total) == oracle[prefix], prefix
 
 
 class TestIdentifyCritical:

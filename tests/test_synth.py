@@ -29,7 +29,7 @@ from trajtree.synth import (
 )
 
 import synth_reference as reference
-from conftest import make_traj, prefix_pairs, prefix_scores
+from conftest import make_traj, prefix_pairs, prefix_scores, synth_configs
 
 
 class TestGenerate:
@@ -141,20 +141,6 @@ class TestBruteForcePairs:
     )
     def test_matches_fraction_arithmetic(self, prefix_scores, threshold):
         assert brute_force_pairs(prefix_scores, threshold) == fraction_pairs(prefix_scores, threshold)
-
-
-synth_configs = st.builds(
-    SynthConfig,
-    seed=st.integers(0, 10_000),
-    instances=st.integers(1, 8),
-    branching=st.integers(1, 3),
-    depth=st.integers(1, 6),
-    trajectories_per_instance=st.integers(0, 8),
-    planted_critical=st.integers(0, 2),
-    loop_rate=st.floats(0, 0.4),
-    outlier_rate=st.floats(0, 0.4),
-    duplicate_rate=st.floats(0, 0.4),
-)
 
 
 class TestPipelineAgainstOracle:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajtree.errors import InputError
+from trajtree.ingest import ingest_trajectories
 from trajtree.synth import SynthConfig, generate
 from trajtree.tree import (
     ACTION,
@@ -12,7 +14,7 @@ from trajtree.tree import (
     tree_to_dict,
 )
 
-from conftest import PROMPT, make_traj
+from conftest import PROMPT, make_traj, synth_configs
 
 
 def build_fixture_tree(fixture_trajectories):
@@ -128,6 +130,21 @@ class TestParentIds:
         for node in tree.nodes.values():
             if node.node_id != tree.root_id:
                 assert node.node_id in tree.nodes[node.parent_id].children
+
+    @given(synth_configs, st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_ids_are_the_tree_order(self, cfg, divergent, strict_merge):
+        # the root is node 0 and every other node's parent has a lower id, which
+        # the sweeps over a tree (subtree_counts, path_totals) rely on
+        corpus, _ = generate(cfg._replace(divergent_observations=divergent))
+        groups, _ = ingest_trajectories(corpus)
+        for instance_id, ts in groups.items():
+            tree = build_tree(instance_id, ts[0].prompt, ts, strict_merge=strict_merge)
+            parent, children = tree.parent, tree.children
+            assert parent[0] == -1
+            for i in range(1, len(parent)):
+                assert 0 <= parent[i] < i and i in children[parent[i]]
+            assert sum(map(len, children)) == len(parent) - 1
 
     def test_path_nodes_follow_children(self, fixture_trajectories):
         tree = build_fixture_tree(fixture_trajectories)
