@@ -18,7 +18,7 @@ _MODULES = {
     "errors": ("ConfigError", "InputError", "InvariantError", "TrajtreeError"),
     "ingest": (
         "IngestReport", "deduplicate", "filter_loops", "filter_outliers", "group_by_instance",
-        "ingest_pipeline", "ingest_trajectories",
+        "ingest_trajectories",
     ),
     "losses": (
         "DpoGrad", "DpoInputs", "TrajectoryLogProbs", "dpo_loss", "dpo_loss_grad", "sft_loss",
@@ -33,7 +33,7 @@ _MODULES = {
         "identify_critical_actions", "score_nodes",
     ),
     "synth": ("brute_force_pairs", "brute_force_scores", "generate"),
-    "tree": ("TrajTree", "TreeNode", "build_tree", "enumerate_paths", "tree_stats"),
+    "tree": ("TrajTree", "TreeNode", "build_tree", "enumerate_paths"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -11,7 +11,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from .ingest import IngestReport
 from .scoring import CriticalPair, Segment, format_rational
-from .tree import TrajTree, path_stats, path_totals
+from .tree import TrajTree, path_totals
 from .model import Trajectory
 
 
@@ -71,7 +71,7 @@ def emit_stats(
     trees: list[TrajTree],
     pairs: list[CriticalPair],
 ) -> dict[str, Any]:
-    """Single statistics record: corpus counts plus ingest removal counts."""
+    """`stats_from_totals` over the trees' summed `path_totals`."""
     totals = [sum(column) for column in zip((0, 0, 0, 0), *map(path_totals, trees))]
     divergences = sum(t.observation_divergences for t in trees)
     return stats_from_totals(report, totals, len(trees), len(pairs), divergences)
@@ -84,11 +84,26 @@ def stats_from_totals(
     pair_count: int,
     divergences: int,
 ) -> dict[str, Any]:
-    """`emit_stats` from whole-corpus sums: every tree's `path_totals` summed,
-    and the instance, pair and observation-divergence counts."""
-    stats = path_stats(totals, instance_count)
-    stats["critical_pair_count"] = pair_count
-    stats["observation_divergences"] = divergences
+    """The `stats.json` record from whole-corpus sums: every tree's
+    `path_totals` summed, and the instance, pair and observation-divergence
+    counts, plus the ingest report when there is one.
+
+    Token length is approximated as characters / 4 so no tokenizer is
+    required; the exact character average is reported alongside.
+    """
+    n, successful, chars, steps = totals
+    avg_chars = chars / n if n else 0.0
+    stats = {
+        "instance_count": instance_count,
+        "trajectory_count": n,
+        "successful_count": successful,
+        "wrong_count": n - successful,
+        "avg_char_len": avg_chars,
+        "avg_token_len": round(avg_chars / 4),
+        "avg_path_len": steps / n if n else 0.0,
+        "critical_pair_count": pair_count,
+        "observation_divergences": divergences,
+    }
     if report is not None:
         stats["ingest"] = report.to_dict()
     return stats

@@ -7,10 +7,10 @@ only sees the cleaned peer set.
 from __future__ import annotations
 
 from collections import Counter
-from typing import IO, Any, Iterable
+from typing import Any, Iterable
 
 from .errors import ConfigError, InputError, InvariantError
-from .model import CanonConfig, Trajectory, _Record, parse_trajectory_stream
+from .model import CanonConfig, Trajectory, _Record
 
 DEFAULT_LOOP_THRESHOLD = 3  # consecutive identical actions counted as stuck-in-loop
 DEFAULT_OUTLIER_MIN_PREFIX = 1
@@ -153,16 +153,3 @@ def ingest_trajectories(
         raise InvariantError("ingest conservation violated")
     return groups, report
 
-
-def ingest_pipeline(
-    source: IO[bytes] | IO[str] | Iterable[str],
-    loop_threshold: int = DEFAULT_LOOP_THRESHOLD,
-    outlier_min_prefix: int = DEFAULT_OUTLIER_MIN_PREFIX,
-    canon: CanonConfig = CanonConfig(),
-    strict: bool = True,
-) -> tuple[dict[str, list[Trajectory]], IngestReport]:
-    """Parse a corpus stream and clean it; returns retained groups plus the audit report."""
-    ts, skipped = parse_trajectory_stream(source, strict=strict, canon=canon)
-    groups, report = ingest_trajectories(ts, loop_threshold, outlier_min_prefix, canon)
-    report.malformed_skipped = skipped
-    return groups, report

@@ -113,14 +113,28 @@ class Trajectory(_Record):
         self, instance_id: str, trajectory_id: str, prompt: str, steps: tuple[Step, ...],
         resolved: int, meta: dict[str, Any] | None = None,
     ) -> None:
-        # as strict as the parser, so that every Trajectory serializes to a line it reads back
+        # every rule of the corpus format, in the parser's order and with its
+        # messages: the parser builds each record through here
+        for name, value in (
+            ("instance_id", instance_id), ("trajectory_id", trajectory_id), ("prompt", prompt),
+        ):
+            if not isinstance(value, str):
+                raise InputError(f"missing or non-string field {name!r}")
         if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved not in (0, 1):
             raise InputError(f"resolved must be integer 0 or 1, got {resolved!r}")
         if not steps:
-            raise InputError("trajectory has no steps")
-        for i, step in enumerate(steps[:-1]):
-            if step.observation is None:
-                raise InputError(f"step {i} is non-final but has no observation")
+            raise InputError("steps must be a non-empty array")
+        last = len(steps) - 1
+        for i, (action, observation) in enumerate(steps):
+            if not isinstance(action, str):
+                raise InputError(f"step {i} lacks a string action")
+            if observation is None:
+                if i != last:
+                    raise InputError(f"step {i} is non-final but has no observation")
+            elif not isinstance(observation, str):
+                raise InputError(f"step {i} observation is not a string")
+            if not action.strip():  # blank under every CanonConfig
+                raise InputError("empty action after canonicalization")
         if meta is not None and not isinstance(meta, dict):
             raise InputError("meta must be an object")
         self.__dict__.update(
@@ -159,46 +173,26 @@ def key_memo(canon: CanonConfig) -> Callable[[str], str]:
 
 
 def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) -> Trajectory:
+    """Decode one record's JSON shape; `Trajectory` checks every field."""
     if not isinstance(obj, dict):
         raise InputError("record is not an object")
-    for name in ("instance_id", "trajectory_id", "prompt"):
-        value = obj.get(name)
-        if not isinstance(value, str):
-            raise InputError(f"missing or non-string field {name!r}")
-    resolved = obj.get("resolved")
-    if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved not in (0, 1):
-        raise InputError(f"resolved must be integer 0 or 1, got {resolved!r}")
-    raw_steps = obj.get("steps")
-    if not isinstance(raw_steps, list) or not raw_steps:
-        raise InputError("steps must be a non-empty array")
-    steps = []
-    keys = []
-    last = len(raw_steps) - 1
-    for i, raw in enumerate(raw_steps):
-        action = raw.get("action") if isinstance(raw, dict) else None
-        if not isinstance(action, str):
-            raise InputError(f"step {i} lacks a string action")
-        obs = raw.get("observation")
-        if obs is None:
-            if i != last:
-                raise InputError(f"step {i} is non-final but has no observation")
-        elif not isinstance(obs, str):
-            raise InputError(f"step {i} observation is not a string")
-        keys.append(key_of(action))  # rejects blank actions
-        steps.append(tuple.__new__(Step, (action, obs)))  # Step(action, obs), but cheaper
-    meta = obj.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise InputError("meta must be an object")
-    meta = dict(meta or ())
+    get = obj.get
+    raw_steps = get("steps")
+    # Step(action, observation), but cheaper; a step that is no object has no
+    # action, and `steps` that is no array has no steps
+    steps = tuple([
+        tuple.__new__(Step, (raw.get("action"), raw.get("observation"))
+                      if isinstance(raw, dict) else (None, None))
+        for raw in raw_steps
+    ]) if isinstance(raw_steps, list) else ()
+    t = Trajectory(
+        get("instance_id"), get("trajectory_id"), get("prompt"), steps, get("resolved"),
+        get("meta"),
+    )
     for key, value in obj.items():
         if key not in _KNOWN_FIELDS:
-            meta[key] = value  # unknown fields survive round-trips via meta
-    # __init__'s checks were all made above: set the fields without it
-    t = object.__new__(Trajectory)
-    t.__dict__.update(
-        instance_id=obj["instance_id"], trajectory_id=obj["trajectory_id"], prompt=obj["prompt"],
-        steps=tuple(steps), resolved=resolved, meta=meta, _keys={canon: tuple(keys)},
-    )
+            t.meta[key] = value  # unknown fields survive round-trips via meta
+    t._keys[canon] = tuple([key_of(step[0]) for step in steps])  # no action is blank now
     return t
 
 

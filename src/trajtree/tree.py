@@ -13,7 +13,7 @@ sweep over a tree is a range over the ids. `TrajTree.nodes` is a
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from .errors import InputError
 from .model import CanonConfig, Trajectory, _Record
@@ -176,33 +176,6 @@ def path_totals(tree: TrajTree) -> tuple[int, int, int, int]:
             chars[node_id] = chars[up] + len(raw[node_id]) + len(obs[node_id] or "")
             depth[node_id] = depth[up] + 1
     return paths, successful, char_sum, step_sum
-
-
-def path_stats(totals: Sequence[int], instance_count: int) -> dict[str, Any]:
-    """Corpus statistics from every tree's `path_totals`, summed: counts,
-    approximate token length, average path length.
-
-    Token length is approximated as characters / 4 so no tokenizer is
-    required; the exact character average is reported alongside.
-    """
-    n, successful, chars, steps = totals
-    avg_chars = chars / n if n else 0.0
-    return {
-        "instance_count": instance_count,
-        "trajectory_count": n,
-        "successful_count": successful,
-        "wrong_count": n - successful,
-        "avg_char_len": avg_chars,
-        "avg_token_len": round(avg_chars / 4),
-        "avg_path_len": steps / n if n else 0.0,
-        "critical_pair_count": None,  # joined in by the emission stage
-    }
-
-
-def tree_stats(trees: list[TrajTree]) -> dict[str, Any]:
-    """`path_stats` over the trees' summed `path_totals`."""
-    totals = [sum(column) for column in zip((0, 0, 0, 0), *map(path_totals, trees))]
-    return path_stats(totals, len(trees))
 
 
 def tree_to_dict(tree: TrajTree) -> dict[str, Any]:

@@ -20,15 +20,16 @@ from hypothesis import given, settings, strategies as st
 
 from trajtree import cli, model, pipeline
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
-from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, sft_to_dict
-from trajtree.ingest import group_by_instance, ingest_pipeline, ingest_trajectories
-from trajtree.model import Step, Trajectory, serialize_trajectory
+from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, emit_stats, sft_to_dict
+from trajtree.errors import InputError
+from trajtree.ingest import group_by_instance, ingest_trajectories
+from trajtree.model import Step, Trajectory, parse_trajectory_stream, serialize_trajectory
 from trajtree.pipeline import StageConfig, process_instances
 from trajtree.scoring import pair_to_dict, scored_tree_to_dict
 from trajtree.synth import SynthConfig, generate
-from trajtree.tree import build_tree, path_ids, tree_stats, tree_to_dict
+from trajtree.tree import build_tree, path_ids, tree_to_dict
 
-from conftest import O_SEARCH, make_traj
+from conftest import O_SEARCH, PROMPT, make_traj
 
 
 @pytest.fixture
@@ -251,11 +252,13 @@ class TestExitCodes:
     def test_blank_action_after_cached_actions(self, tmp_path, corpus_path, capsys):
         # the parse memoizes action keys; a blank action is still an error on
         # every line it appears, after its trajectory's first action hit the memo
-        blank = make_traj("t9", [("search", O_SEARCH), (" \u3000\t\u2028", None)], 0)
+        blank = json.dumps({
+            "instance_id": "inst-fix-x", "trajectory_id": "t9", "prompt": PROMPT,
+            "steps": [{"action": "search", "observation": O_SEARCH}, {"action": " \u3000\t\u2028"}],
+            "resolved": 0,
+        })
         lines = corpus_path.read_text(encoding="utf-8").splitlines()
-        corpus = _write_corpus(
-            tmp_path / "blank.jsonl", [*lines, serialize_trajectory(blank)] * 2
-        )
+        corpus = _write_corpus(tmp_path / "blank.jsonl", [*lines, blank] * 2)
         argv = ["ingest", "--input", str(corpus)]
         assert main([*argv, "--out-dir", str(tmp_path / "strict")]) == 2
         assert capsys.readouterr().err == "error: line 4: empty action after canonicalization\n"
@@ -683,6 +686,10 @@ class TestSplicedRenderers:
     @settings(max_examples=150, deadline=None)
     def test_corpus_line_matches_dict_export(self, meta, body, last, text, resolved):
         steps = tuple(Step(a, o) for a, o in body) + (Step(*last),)
+        if any(not step.action.strip() for step in steps):  # no corpus line holds a blank action
+            with pytest.raises(InputError, match="empty action after canonicalization"):
+                Trajectory(text + "#i", text + "#t", text, steps, resolved, meta)
+            return
         t = Trajectory(text + "#i", text + "#t", text, steps, resolved, meta)
         assert serialize_trajectory(t) == corpus_line_reference(t)
 
@@ -863,9 +870,10 @@ class TestStatsSums:
             "avg_char_len": avg_chars,
             "avg_token_len": round(avg_chars / 4),
             "avg_path_len": sum(steps for _, steps, _ in paths) / n if n else 0.0,
-            "critical_pair_count": None,
+            "critical_pair_count": 0,
+            "observation_divergences": sum(tree.observation_divergences for tree in trees),
         }
-        assert tree_stats(trees) == want
+        assert emit_stats(None, trees, []) == want
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "corpus.jsonl")
             path.write_text("".join(serialize_trajectory(t) + "\n" for t in corpus), "utf-8")
@@ -1248,7 +1256,7 @@ class TestStreamedFallback:
     def test_interleaved_corpus_keeps_instance_order(self, tmp_path):
         corpus = _interleaved(tmp_path)
         with open(corpus, "rb") as fh:
-            groups, _ = ingest_pipeline(fh)
+            groups, _ = ingest_trajectories(parse_trajectory_stream(fh)[0])
         assert list(groups) == ["B", "A"]
         out = tmp_path / "out"
         assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 0
@@ -1320,7 +1328,9 @@ class TestStreamedFallback:
         for name, extra in (("runs", []), ("back", [_traj("A", "a6", ["look", "more"])])):
             corpus = _write_corpus(tmp_path / f"{name}.jsonl", records + extra)
             with open(corpus, "rb") as fh:
-                _, expected = ingest_pipeline(fh, strict=False)
+                ts, skipped = parse_trajectory_stream(fh, strict=False)
+            _, expected = ingest_trajectories(ts)
+            expected.malformed_skipped = skipped
             assert expected.malformed_skipped == 5 and expected.loops_removed == 2
             fifo = tmp_path / f"{name}.fifo"
             os.mkfifo(fifo)

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +9,6 @@ from trajtree.ingest import (
     filter_loops,
     filter_outliers,
     group_by_instance,
-    ingest_pipeline,
     ingest_trajectories,
     max_identical_run,
 )
@@ -146,12 +143,6 @@ class TestPipeline:
         ts = [chain("t1", ["a", "b"], 1), chain("t2", ["a", "c"], 0)]
         _, report = ingest_trajectories(ts)
         assert report.retained == report.input_count == 2
-
-    def test_stream_entry_point(self):
-        ts = [chain("t1", ["a", "b"], 1), chain("t2", ["a", "c"], 0)]
-        text = "".join(serialize_trajectory(t) + "\n" for t in ts)
-        groups, report = ingest_pipeline(io.StringIO(text))
-        assert report.retained == 2 and set(groups) == {"i1"}
 
     def test_uncounted_drop_is_an_invariant_error(self, monkeypatch, tmp_path, capsys):
         ts = [chain("t1", ["a", "b"], 1), chain("t2", ["a", "c"], 0)]

@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trajtree import model
 from trajtree.errors import InputError
@@ -212,7 +212,7 @@ class TestInvariants:
                 Trajectory("i", "t", "p", (Step("a"),), resolved=resolved)
 
     def test_steps_nonempty(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="steps must be a non-empty array"):
             Trajectory("i", "t", "p", (), resolved=0)
 
     def test_only_final_step_may_lack_observation(self):
@@ -283,3 +283,57 @@ class TestRoundTrip:
         assert obj["meta"] == {}
         parsed, _ = parse_trajectory_stream(io.StringIO(serialize_trajectory(t) + "\n"))
         assert parsed == [t]
+
+
+def built_or_parsed(fields: dict, pairs: list) -> Trajectory | None:
+    """`Trajectory(...)` from `fields` and one `Step` per (action, observation)
+    pair, checked against the parser on the same record as a corpus line:
+    both raise InputError with one message, or both give the same record,
+    which round-trips through `serialize_trajectory`. None when both raise."""
+    record = {**fields, "steps": [{"action": a, "observation": o} for a, o in pairs]}
+    try:
+        t = Trajectory(steps=tuple(Step(a, o) for a, o in pairs), **fields)
+    except InputError as exc:
+        with pytest.raises(InputError) as parsed:
+            parse_trajectory_stream(io.StringIO(json.dumps(record) + "\n"))
+        assert str(parsed.value) == f"line 1: {exc}"
+        return None
+    for line in (json.dumps(record), serialize_trajectory(t)):
+        assert parse_trajectory_stream(io.StringIO(line + "\n")) == ([t], 0)
+    return t
+
+
+def _mostly(valid):
+    """`valid` most of the time, else any JSON value."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else _json)
+
+
+_pairs = st.lists(st.tuples(_mostly(_text), _mostly(st.none() | _text)), max_size=3)
+_fields = st.fixed_dictionaries({
+    "instance_id": _mostly(_text), "trajectory_id": _mostly(_text), "prompt": _mostly(_text),
+    "resolved": _mostly(st.integers(0, 1)),
+    "meta": _mostly(st.dictionaries(_text, _json, max_size=2)),
+})
+
+
+class TestOneRuleSet:
+    """The constructor applies every rule the parser does, in the same order."""
+
+    @given(_fields, _pairs)
+    @settings(max_examples=300)
+    def test_constructor_and_parser_agree(self, fields, pairs):
+        built_or_parsed(fields, pairs)
+
+    @pytest.mark.parametrize("fields, pairs, message", [
+        ({"instance_id": 1}, [("a", None)], "missing or non-string field 'instance_id'"),
+        ({"prompt": None}, [("a", None)], "missing or non-string field 'prompt'"),
+        ({}, [(3, None)], "step 0 lacks a string action"),
+        ({}, [("a", 3)], "step 0 observation is not a string"),
+        # a blank action at step 0 outranks a non-string observation at step 1
+        ({}, [(" ", "o"), ("b", 3)], "empty action after canonicalization"),
+    ], ids=["instance_id", "prompt", "action", "observation", "blank_first"])
+    def test_rejected_alike(self, fields, pairs, message):
+        fields = {"instance_id": "i", "trajectory_id": "t", "prompt": "p", "resolved": 1, **fields}
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Trajectory(steps=tuple(Step(a, o) for a, o in pairs), **fields)
+        assert built_or_parsed(fields, pairs) is None

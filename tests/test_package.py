@@ -1,5 +1,6 @@
 """The lazy package API and the modules each command loads."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -17,6 +18,7 @@ from trajtree.model import serialize_trajectory
 import test_synth
 
 SRC = Path(trajtree.__file__).resolve().parents[1]
+BENCH = SRC.parent / "bench"
 
 
 def run_fresh(script: str, *args: str, cwd: Path | None = None) -> str:
@@ -82,6 +84,31 @@ class TestLazyPackage:
     def test_dir_lists_all(self):
         assert set(trajtree.__all__) <= set(dir(trajtree))
         assert "__version__" in dir(trajtree)
+
+    @pytest.mark.parametrize("script", ["tracing.py", "run.py"])
+    def test_every_name_the_benchmark_reads_exists(self, script):
+        # each `from trajtree[.module] import name`, and each attribute read on
+        # a trajtree module bound by such an import
+        tree = ast.parse((BENCH / script).read_text(encoding="utf-8"))
+        modules: dict[str, object] = {}  # local name -> the trajtree module it binds
+        read: list[tuple[object, str]] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trajtree"):
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(source, alias.name, None)
+                    if isinstance(value, type(trajtree)):
+                        modules[alias.asname or alias.name] = value
+                    read.append((source, alias.name))
+        assert modules or read, script
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    read.append((modules[node.value.id], node.attr))
+        missing = [
+            f"{module.__name__}.{name}" for module, name in read if not hasattr(module, name)
+        ]
+        assert missing == []
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):

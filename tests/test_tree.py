@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajtree.emit import emit_stats
 from trajtree.errors import InputError
 from trajtree.ingest import ingest_trajectories
 from trajtree.synth import SynthConfig, generate
@@ -10,7 +11,6 @@ from trajtree.tree import (
     build_tree,
     enumerate_paths,
     path_ids,
-    tree_stats,
     tree_to_dict,
 )
 
@@ -177,7 +177,7 @@ class TestEnumeratePaths:
 class TestTreeStats:
     def test_single_successful_trajectory(self):
         t = make_traj("t1", [("ab", "cd"), ("ef", None)], 1)
-        stats = tree_stats([build_tree("inst-fix-x", PROMPT, [t])])
+        stats = emit_stats(None, [build_tree("inst-fix-x", PROMPT, [t])], [])
         assert stats["instance_count"] == 1
         assert stats["trajectory_count"] == 1
         assert stats["successful_count"] == 1
@@ -188,7 +188,7 @@ class TestTreeStats:
         assert stats["avg_token_len"] == round(chars / 4)
 
     def test_empty_input_all_zero(self):
-        stats = tree_stats([])
+        stats = emit_stats(None, [], [])
         assert stats["instance_count"] == 0
         assert stats["trajectory_count"] == 0
         assert stats["avg_path_len"] == 0
