@@ -299,8 +299,8 @@ class _Run:
         self.instances = self.pair_count = self.divergences = self.sft_examples = 0
 
     def summarize(self, inst: _Instance) -> None:
-        tree, _, _, triples = inst.mined
-        self.totals = [a + b for a, b in zip(self.totals, path_totals(tree))]
+        tree, successes, totals, triples = inst.mined
+        self.totals = [a + b for a, b in zip(self.totals, path_totals(tree, successes, totals))]
         self.pair_count += len(triples)
         self.divergences += tree.observation_divergences
 
@@ -478,18 +478,19 @@ def _synth_config(args, config) -> SynthConfig:
 
 
 def cmd_synth(args, config) -> int:
-    """Write each instance's corpus lines as it is generated, and its rendered
-    ground-truth record as soon as every name that sorts before it is written."""
+    """Write each instance's corpus lines and its rendered ground-truth record
+    as it is generated, in `iter_instances`' order, which is the order
+    ground_truth.json lists the instances in."""
     from .synth import iter_instances, render_truth, truth_chunks
 
     synth_config = _synth_config(args, config)
     instances = iter_instances(synth_config)  # validates before the out dir is made
     with output_files(Path(args.out_dir), ("corpus.jsonl", "ground_truth.json")) as files:
-        def records() -> Iterator[tuple[str, str]]:  # writes each instance's corpus lines
+        def entries() -> Iterator[str]:  # writes each instance's corpus lines
             for ts, truth in instances:
                 files["corpus.jsonl"].write("".join(serialize_trajectory(t) + "\n" for t in ts))
-                yield truth["instance_id"], render_truth(truth)
-        files["ground_truth.json"].writelines(truth_chunks(synth_config, records()))
+                yield render_truth(truth)
+        files["ground_truth.json"].writelines(truth_chunks(synth_config, entries()))
     return EXIT_OK
 
 
@@ -545,11 +546,8 @@ def cmd_loss(args, config) -> int:
                         continue
                     # too long an integer fails as the corpus parser words it
                     obj = json.loads(line, parse_int=_int)
-                    # allow_nan=False: a non-finite result is an error, never `Infinity`
-                    lines_out.append(json.dumps(
-                        loss_record(obj),
-                        ensure_ascii=False, separators=(",", ":"), allow_nan=False,
-                    ) + "\n")
+                    # a non-finite result is an error, never `Infinity`
+                    lines_out.append(_encode(loss_record(obj)) + "\n")
                 # ConfigError: the record's own beta or reduction is invalid
                 except (
                     ConfigError, InputError, KeyError, TypeError, ValueError, OverflowError,

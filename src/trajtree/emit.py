@@ -7,10 +7,10 @@ Loss masks are segment-granular; trainers tokenize and broadcast them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple
 
 from .ingest import IngestReport
-from .scoring import CriticalPair, Segment, format_rational
+from .scoring import CriticalPair, Segment, format_rational, subtree_counts
 from .tree import TrajTree, path_totals
 from .model import Trajectory
 
@@ -72,14 +72,14 @@ def emit_stats(
     pairs: list[CriticalPair],
 ) -> dict[str, Any]:
     """`stats_from_totals` over the trees' summed `path_totals`."""
-    totals = [sum(column) for column in zip((0, 0, 0, 0), *map(path_totals, trees))]
+    totals = map(sum, zip((0, 0, 0, 0), *(path_totals(t, *subtree_counts(t)) for t in trees)))
     divergences = sum(t.observation_divergences for t in trees)
     return stats_from_totals(report, totals, len(trees), len(pairs), divergences)
 
 
 def stats_from_totals(
     report: IngestReport | None,
-    totals: Sequence[int],
+    totals: Iterable[int],
     instance_count: int,
     pair_count: int,
     divergences: int,

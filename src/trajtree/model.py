@@ -39,8 +39,9 @@ def _int(text: str) -> int:
 _decode = json.JSONDecoder(parse_constant=_finite, parse_float=_finite, parse_int=_int).decode
 
 # one compact encoder for the corpus and every JSON-lines file; json.dumps
-# with keyword arguments would build a new encoder per record
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# with keyword arguments would build a new encoder per record. It raises
+# ValueError on NaN and the infinities, so no output line holds them.
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
 # the string encoding that encoder uses (ensure_ascii=False)
 _string = json.encoder.encode_basestring
 
@@ -122,10 +123,15 @@ class Trajectory(_Record):
                 raise InputError(f"missing or non-string field {name!r}")
         if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved not in (0, 1):
             raise InputError(f"resolved must be integer 0 or 1, got {resolved!r}")
-        if not steps:
+        if isinstance(steps, list):
+            steps = tuple(steps)  # as the parser gives them
+        if not isinstance(steps, tuple) or not steps:
             raise InputError("steps must be a non-empty array")
         last = len(steps) - 1
-        for i, (action, observation) in enumerate(steps):
+        for i, step in enumerate(steps):
+            if type(step) is not Step:
+                raise InputError(f"step {i} is not a Step")
+            action, observation = step
             if not isinstance(action, str):
                 raise InputError(f"step {i} lacks a string action")
             if observation is None:
@@ -135,8 +141,13 @@ class Trajectory(_Record):
                 raise InputError(f"step {i} observation is not a string")
             if not action.strip():  # blank under every CanonConfig
                 raise InputError("empty action after canonicalization")
-        if meta is not None and not isinstance(meta, dict):
-            raise InputError("meta must be an object")
+        if meta is not None:
+            if not isinstance(meta, dict):
+                raise InputError("meta must be an object")
+            try:
+                _encode(meta)
+            except (TypeError, ValueError) as exc:  # NaN or an infinity; a set, say
+                raise InputError(f"meta has no JSON form: {exc}") from None
         self.__dict__.update(
             instance_id=instance_id, trajectory_id=trajectory_id, prompt=prompt, steps=steps,
             resolved=resolved, meta={} if meta is None else meta, _keys={},

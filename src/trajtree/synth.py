@@ -17,6 +17,7 @@ from .pipeline import SynthConfig  # defined with StageConfig; importable from h
 from .scoring import DEFAULT_THRESHOLD
 
 PREFIX_JOIN = ""  # unit separator; cannot appear in canonical keys we generate
+_instance_name = "inst{:04d}".format  # an instance's name from its index
 
 
 def _attach_observations(
@@ -50,7 +51,7 @@ def _generate_instance(
 ) -> tuple[list[Trajectory], dict[str, Any]]:
     # per-instance derived seed keeps generation order-independent across instances
     rng = random.Random(f"{config.seed}:{index}")
-    instance_id = f"inst{index:04d}"  # as truth_chunks expects
+    instance_id = _instance_name(index)
     prompt = f"Task {instance_id}: make the failing check pass."
     prefix = ["d0:inspect"]
     tpi = config.trajectories_per_instance
@@ -151,11 +152,13 @@ def _intended_retained(ts: list[Trajectory]) -> list[Trajectory]:
 
 def iter_instances(config: SynthConfig) -> Iterator[tuple[list[Trajectory], dict[str, Any]]]:
     """Each instance's trajectories and ground-truth record, generated lazily
-    in index order, canonicalizing through one `key_memo`. The config is
-    validated before this returns."""
+    in the sorted order of their names (index order below 10,000 instances),
+    canonicalizing through one `key_memo`. The config is validated before
+    this returns."""
     config.validate()
     key_of = key_memo(CanonConfig())
-    return (_generate_instance(config, i, key_of) for i in range(config.instances))
+    order = sorted(range(config.instances), key=_instance_name)
+    return (_generate_instance(config, i, key_of) for i in order)
 
 
 def generate(config: SynthConfig) -> tuple[list[Trajectory], dict[str, Any]]:
@@ -224,22 +227,15 @@ def render_truth(truth: dict[str, Any]) -> str:
     return _RECORD + _string(truth["instance_id"]) + ": " + _block("{}", fields, _RECORD)
 
 
-def truth_chunks(config: SynthConfig, records: Iterable[tuple[str, str]]) -> Iterator[str]:
+def truth_chunks(config: SynthConfig, entries: Iterable[str]) -> Iterator[str]:
     """ground_truth.json in pieces: the config, then the `render_truth`
-    entries of the (name, entry) records in sorted-name order, each as soon
-    as every name the config generates that sorts before it has been (at
-    once below 10,000 instances). Names it does not generate wait for the end."""
+    entries in the order given, which is the sorted order of their names
+    when they come from `iter_instances`, then the closing braces."""
     head = json.dumps({"config": config._asdict()}, ensure_ascii=False, indent=2, sort_keys=True)
     yield head[: -len("\n}")] + ',\n  "instances": {'
-    names = iter(sorted(f"inst{i:04d}" for i in range(config.instances)))  # as generated
-    following, pending, separator = next(names, None), {}, "\n"
-    for name, record in records:
-        pending[name] = record
-        while following in pending:
-            yield separator + pending.pop(following)
-            following, separator = next(names, None), ",\n"
-    for name in sorted(pending):
-        yield separator + pending[name]
+    separator = "\n"
+    for entry in entries:
+        yield separator + entry
         separator = ",\n"
     yield "}\n}\n" if separator == "\n" else "\n  }\n}\n"
 

@@ -157,25 +157,18 @@ def path_ids(tree: TrajTree, node_id: int) -> list[int]:
     return path
 
 
-def path_totals(tree: TrajTree) -> tuple[int, int, int, int]:
+def path_totals(
+    tree: TrajTree, successes: list[int], totals: list[int]
+) -> tuple[int, int, int, int]:
     """(paths, successful paths, char length, step count), the last two
-    summed over the root-to-leaf paths, from one pass in id order that gives
-    each action node its prefix's lengths."""
-    chars, depth = [0] * len(tree.parent), [0] * len(tree.parent)
-    chars[0] = len(tree.prompt)
-    paths = successful = char_sum = step_sum = 0
-    parent, raw, obs, outcome = tree.parent, tree.action_raw, tree.observation, tree.outcome
-    for node_id in range(1, len(parent)):
-        up = parent[node_id]
-        if outcome[node_id] is not None:
-            paths += 1
-            successful += outcome[node_id] == 1
-            char_sum += chars[up]
-            step_sum += depth[up]
-        else:
-            chars[node_id] = chars[up] + len(raw[node_id]) + len(obs[node_id] or "")
-            depth[node_id] = depth[up] + 1
-    return paths, successful, char_sum, step_sum
+    summed over the root-to-leaf paths, from the tree's `subtree_counts`:
+    the prompt and each action node's text and step lie on `totals[node]` paths."""
+    chars, steps = len(tree.prompt) * totals[0], 0
+    for paths, action, observation in zip(totals, tree.action_raw, tree.observation):
+        if action is not None:  # an action node; the root and leaves have no text
+            chars += paths * (len(action) + len(observation or ""))
+            steps += paths
+    return totals[0], successes[0], chars, steps
 
 
 def tree_to_dict(tree: TrajTree) -> dict[str, Any]:

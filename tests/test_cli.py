@@ -690,6 +690,12 @@ class TestSplicedRenderers:
             with pytest.raises(InputError, match="empty action after canonicalization"):
                 Trajectory(text + "#i", text + "#t", text, steps, resolved, meta)
             return
+        try:
+            json.dumps(meta, allow_nan=False)
+        except ValueError:  # NaN or an infinity, which no corpus line holds
+            with pytest.raises(InputError, match="^meta has no JSON form: "):
+                Trajectory(text + "#i", text + "#t", text, steps, resolved, meta)
+            return
         t = Trajectory(text + "#i", text + "#t", text, steps, resolved, meta)
         assert serialize_trajectory(t) == corpus_line_reference(t)
 
@@ -719,6 +725,11 @@ class TestSplicedRenderers:
         parents = {(p["instance_id"], p["parent_node_id"]) for p in pairs}
         assert contexts == len(parents) < len(pairs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_jsonl_never_writes_a_non_finite_number(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonl([{"x": [value]}])
+
 
 class TestSynthAndSelfcheck:
     def test_synth_deterministic(self, tmp_path):
@@ -733,8 +744,8 @@ class TestSynthAndSelfcheck:
         from trajtree import synth
 
         original_files, original_generate = cli.output_files, synth._generate_instance
-        written: list[str] = []  # what reached ground_truth.json, in order
-        before: list[str] = []  # per generated index, what had reached it by then
+        written: list[str] = []  # the pieces that reached ground_truth.json, in order
+        generated: list[tuple[int, int]] = []  # per generated instance: (index, pieces by then)
 
         class Recording:
             def __init__(self, fh):
@@ -753,18 +764,26 @@ class TestSynthAndSelfcheck:
             with original_files(out, names) as files:
                 yield {**files, "ground_truth.json": Recording(files["ground_truth.json"])}
 
-        def generating(*args):
-            before.append("".join(written))
-            return original_generate(*args)
+        def generating(config, index, key_of):
+            generated.append((index, len(written)))
+            return original_generate(config, index, key_of)
 
         monkeypatch.setattr(cli, "output_files", recording)
         monkeypatch.setattr(synth, "_generate_instance", generating)
-        assert main(["synth", "--instances", "4", "--out-dir", str(tmp_path)]) == 0
-        assert len(before) == 4
-        for index, text in enumerate(before):
-            assert (f'"inst{index - 1:04d}": {{' in text) == (index > 0), index
-            assert f'"inst{index:04d}": {{' not in text, index
-        assert "".join(written) == (tmp_path / "ground_truth.json").read_text(encoding="utf-8")
+        for flags in (
+            ["--instances", "4"], ["--instances", "10001", "--trajectories-per-instance", "0"],
+        ):
+            written.clear()
+            generated.clear()
+            out = tmp_path / flags[1]
+            assert main(["synth", *flags, "--out-dir", str(out)]) == 0
+            names = sorted(f"inst{i:04d}" for i in range(int(flags[1])))
+            # the k-th instance generated is the k-th name in sorted order, and
+            # the config and the k records before it have been written by then
+            assert [f"inst{index:04d}" for index, _ in generated] == names
+            assert [count for _, count in generated] == list(range(1, len(names) + 1))
+            assert [piece.split('"', 2)[1] for piece in written[1:-1]] == names
+            assert "".join(written) == (out / "ground_truth.json").read_text(encoding="utf-8")
 
     def test_synth_flags_default_to_synth_config(self):
         args = cli.build_parser().parse_args(["synth", "--out-dir", "o"])

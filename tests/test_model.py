@@ -212,12 +212,30 @@ class TestInvariants:
                 Trajectory("i", "t", "p", (Step("a"),), resolved=resolved)
 
     def test_steps_nonempty(self):
-        with pytest.raises(InputError, match="steps must be a non-empty array"):
-            Trajectory("i", "t", "p", (), resolved=0)
+        for steps in ((), [], None, "ab", iter([Step("a")])):
+            with pytest.raises(InputError, match="steps must be a non-empty array"):
+                Trajectory("i", "t", "p", steps, resolved=0)
 
     def test_only_final_step_may_lack_observation(self):
         with pytest.raises(InputError):
             Trajectory("i", "t", "p", (Step("a"), Step("b")), resolved=0)
+
+    def test_list_of_steps_is_stored_as_a_tuple(self):
+        t = Trajectory("i", "t", "p", [Step("a", "o"), Step("b")], resolved=0)
+        assert type(t.steps) is tuple
+        assert parse_trajectory_stream(io.StringIO(serialize_trajectory(t) + "\n")) == ([t], 0)
+
+    @pytest.mark.parametrize("steps", [(("a", None),), (Step("a", "o"), ["b", None])])
+    def test_step_that_is_not_a_step_is_rejected(self, steps):
+        with pytest.raises(InputError, match=f"^step {len(steps) - 1} is not a Step$"):
+            Trajectory("i", "t", "p", steps, resolved=0)
+
+    @pytest.mark.parametrize("meta", [
+        {"x": float("nan")}, {"x": [1, {"y": float("-inf")}]}, {"x": {1}},
+    ], ids=["nan", "nested_inf", "set"])
+    def test_meta_with_no_json_form_is_rejected(self, meta):
+        with pytest.raises(InputError, match="^meta has no JSON form: "):
+            Trajectory("i", "t", "p", (Step("a"),), resolved=0, meta=meta)
 
 
 # strategy for arbitrary valid trajectories

@@ -135,6 +135,23 @@ class TestLazyPackage:
         assert calls == 2
 
 
+def test_every_imported_name_is_used():
+    # an import bound in a module, trajtree's or a test's, and read nowhere in it
+    unused = []
+    for path in sorted([*(SRC / "trajtree").glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unused == []
+
+
 # loaded only by `synth`/`selfcheck` (hashlib with it) and `loss`
 HEAVY = ("hashlib", "_hashlib", "trajtree.synth", "trajtree.losses")
 # loaded by no command: dataclasses imports inspect, and with it ast, dis and tokenize

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import json
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr
@@ -370,14 +371,17 @@ class TestSynthFiles:
             "oracle_pairs": oracle_pairs,
         }
         cfg = SynthConfig()
-        text = "".join(truth_chunks(cfg, [(instance_id, render_truth(truth))]))
+        text = "".join(truth_chunks(cfg, [render_truth(truth)]))
         assert text == json_doc({"config": cfg._asdict(), "instances": {instance_id: truth}})
 
     def test_names_past_inst9999_are_written_in_sorted_order(self, tmp_path):
-        cfg = SynthConfig(instances=10_001, trajectories_per_instance=0)
+        cfg = SynthConfig(instances=10_001, trajectories_per_instance=1)
         files = synth_files(cfg, tmp_path)
-        assert files["corpus.jsonl"] == b""
         assert files["ground_truth.json"] == json_doc(generate(cfg)[1]).encode("utf-8")
+        # corpus.jsonl lists the instances in ground_truth.json's order
+        names = list(json.loads(files["ground_truth.json"])["instances"])
+        lines = files["corpus.jsonl"].decode("utf-8").splitlines()
+        assert [json.loads(line)["instance_id"] for line in lines] == names
 
     def test_bad_config_makes_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "out"
