@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .emit import stats_from_totals
-from .errors import ConfigError, InputError, InvariantError
+from .errors import ConfigError, InputError, InvariantError, TrajtreeError
 from .ingest import IngestReport, group_by_instance, ingest_trajectories
 from .model import (
     CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories,
@@ -39,8 +39,6 @@ CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_INPUT = 2
-EXIT_INVARIANT = 3
 
 _CONFIG_DEFAULTS: dict[str, Any] = {
     "collapse_whitespace": True,
@@ -430,11 +428,12 @@ def cmd_pipeline(args, config) -> int:
     Only `ingest` and `all` clean the corpus; later stages take it as
     retained. Each contiguous run of one instance's lines is cleaned,
     and each instance's tree is built only if a file needs it and written
-    to every file, before the next run is read. If an instance id comes
-    back after another instance began, or the streamed pass fails, the
-    files are dropped and the whole corpus is cleaned as one run (as is
-    an input that cannot be read twice), which gives the whole-corpus
-    instance order and error. The files are committed together.
+    to every file, before the next run is read. A malformed line fails the
+    pass that meets it. If an instance id comes back after another
+    instance began, or a run fails, the files are dropped and the whole
+    corpus is cleaned as one run (as is an input that cannot be read
+    twice), which gives the whole-corpus instance order and error. The
+    files are committed together.
     """
     names = COMMAND_OUTPUTS[args.command]
     stage = stage_config(config)
@@ -458,9 +457,12 @@ def cmd_pipeline(args, config) -> int:
         if fh.seekable():
             try:
                 run = attempt(streamed=True)
-            # a malformed line or prompt conflict later in the corpus takes
-            # precedence over a run's error; the whole-corpus pass raises it
-            except (_Restart, InputError, InvariantError):
+            # a malformed line met here is the corpus's first, as no run before
+            # it failed: the whole-corpus pass would raise it too. A prompt
+            # conflict later on outranks a run's error; the rerun raises it
+            except (_Restart, InputError, InvariantError) as exc:
+                if isinstance(exc, InputError) and exc.line is not None:
+                    raise
                 fh.seek(0)
         if run is None:
             run = attempt(streamed=False)
@@ -621,18 +623,10 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {k: getattr(args, k, None) for k in _CONFIG_DEFAULTS}
         config = load_config(args.config, overrides)
         return args.func(args, config)
-    except ConfigError as exc:
+    # OSError: an out dir or output file that cannot be made or written
+    except (TrajtreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as exc:  # an out dir or output file that cannot be made or written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code if isinstance(exc, TrajtreeError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the pipeline.
 
-Exit-code mapping (see cli): ConfigError -> 1, InputError -> 2,
-InvariantError -> 3.
+Each class carries the exit status the CLI ends with when it escapes a
+command: TrajtreeError and ConfigError 1, InputError 2, InvariantError 3.
 """
 
 
 class TrajtreeError(Exception):
     """Base class for all pipeline errors."""
+
+    exit_code = 1
 
 
 class ConfigError(TrajtreeError):
@@ -19,6 +21,8 @@ class InputError(TrajtreeError):
     Carries an optional 1-based line number for corpus diagnostics.
     """
 
+    exit_code = 2
+
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -28,3 +32,5 @@ class InputError(TrajtreeError):
 
 class InvariantError(TrajtreeError):
     """An internal consistency check failed (oracle mismatch, conservation)."""
+
+    exit_code = 3

@@ -103,12 +103,9 @@ def critical_triples(
             continue
         counts = [(c, successes[c], totals[c]) for c in action_children]
         if pair_mode == MAX_MIN:
-            hi = lo = counts[0]  # first maximum and first minimum, as max()/min() pick
-            for cur in counts[1:]:
-                if cur[1] * hi[2] > hi[1] * cur[2]:
-                    hi = cur
-                if cur[1] * lo[2] < lo[1] * cur[2]:
-                    lo = cur
+            # max and min return the first extreme, by exact score
+            hi = max(counts, key=lambda c: Fraction(c[1], c[2]))
+            lo = min(counts, key=lambda c: Fraction(c[1], c[2]))
             if (hi[1] * lo[2] - lo[1] * hi[2]) * den > num * hi[2] * lo[2]:
                 triples.append((node_id, hi[0], lo[0]))
             continue

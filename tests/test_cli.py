@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajtree import cli, model, pipeline
+from trajtree import cli, errors, model, pipeline
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
 from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, emit_stats, sft_to_dict
 from trajtree.errors import InputError
@@ -60,6 +61,33 @@ class TestExitCodes:
         code = main(["score", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_each_error_class_exits_with_the_status_readme_lists(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = " ".join(readme.partition("Exit codes: ")[2].partition(".")[0].split())
+        listed = {name: int(code) for code, name in re.findall(r"(\d) [^,(]*\(`(\w+)`", sentence)}
+        assert listed == {"ConfigError": 1, "InputError": 2, "InvariantError": 3}
+        for name, code in listed.items():
+            assert getattr(errors, name).exit_code == code
+        assert errors.TrajtreeError.exit_code == 1
+
+    def test_a_new_error_class_exits_with_its_status(
+        self, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        class QuotaError(errors.TrajtreeError):
+            exit_code = 4
+
+        class OracleError(errors.InvariantError):
+            pass
+
+        for error, code in ((QuotaError, 4), (OracleError, 3)):
+            def fail(args, config):
+                raise error("stopped")
+
+            monkeypatch.setattr(cli, "cmd_pipeline", fail)
+            argv = ["all", "--input", str(corpus_path), "--out-dir", str(tmp_path / "out")]
+            assert main(argv) == code, error
+            assert capsys.readouterr().err == "error: stopped\n"
 
     def test_bad_config_value(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1326,6 +1354,35 @@ class TestStreamedFallback:
             assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
             err = capsys.readouterr().err
             assert "conflicting prompts" in err and "'B'" in err, command
+
+    def test_malformed_last_line_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        corpus = _write_corpus(tmp_path / "corpus.jsonl", [
+            _traj("A", "a1", ["look", "fix"], 1),
+            _traj("A", "a2", ["look", "quit"]),
+            _traj("B", "b1", ["look"], 1),
+            "not json",
+        ])
+        original, calls = model._parse_record, 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_parse_record", counting)
+        for command in ("all", "tree"):
+            calls, out = 0, tmp_path / command
+            assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
+            assert calls == 3, command
+            assert capsys.readouterr().err == (
+                "error: line 4: Expecting value: line 1 column 1 (char 0)\n"
+            ), command
+            assert not out.exists() or list(out.iterdir()) == [], command
+        calls, out = 0, tmp_path / "lenient"
+        assert main(["all", "--input", str(corpus), "--out-dir", str(out), "--lenient"]) == 0
+        assert calls == 3
+        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+        assert report["malformed_skipped"] == 1 and report["retained"] == 3
 
     def test_lenient_report_matches_ingest_pipeline(self, tmp_path):
         records = [

@@ -152,6 +152,40 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_every_module_level_name_is_read():
+    # a def, class or constant of a trajtree module that no module of src/,
+    # tests/ or bench/ reads: as a name, an attribute, an imported alias, or
+    # an identifier string (the _MODULES table, getattr)
+    read: set[str] = set()
+    for path in [*(SRC / "trajtree").glob("*.py"), *Path(__file__).parent.glob("*.py"),
+                 *BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    read.add(node.value)
+    dead = []
+    for path in sorted((SRC / "trajtree").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{path.name}:{node.lineno} {name}" for name in defined
+                if name not in read and not (name.startswith("__") and name.endswith("__"))
+            ]
+    assert dead == []
+
+
 # loaded only by `synth`/`selfcheck` (hashlib with it) and `loss`
 HEAVY = ("hashlib", "_hashlib", "trajtree.synth", "trajtree.losses")
 # loaded by no command: dataclasses imports inspect, and with it ast, dis and tokenize
