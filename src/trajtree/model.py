@@ -49,6 +49,15 @@ _string = json.encoder.encode_basestring
 _KNOWN_FIELDS = {"instance_id", "trajectory_id", "prompt", "steps", "resolved", "meta"}
 
 
+def _utf8(text: str) -> bool:
+    """Whether `text` has a UTF-8 form, which a lone surrogate has not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class CanonConfig(NamedTuple):
     """How action text is normalized for merge-key equality."""
 
@@ -115,12 +124,15 @@ class Trajectory(_Record):
         resolved: int, meta: dict[str, Any] | None = None,
     ) -> None:
         # every rule of the corpus format, in the parser's order and with its
-        # messages: the parser builds each record through here
+        # messages: the parser builds each record through here. A record
+        # built here reads back equal from the line serialize_trajectory writes.
         for name, value in (
             ("instance_id", instance_id), ("trajectory_id", trajectory_id), ("prompt", prompt),
         ):
             if not isinstance(value, str):
                 raise InputError(f"missing or non-string field {name!r}")
+            if not (value.isascii() or _utf8(value)):
+                raise InputError(f"field {name!r} holds a lone surrogate")
         if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved not in (0, 1):
             raise InputError(f"resolved must be integer 0 or 1, got {resolved!r}")
         if isinstance(steps, list):
@@ -141,13 +153,21 @@ class Trajectory(_Record):
                 raise InputError(f"step {i} observation is not a string")
             if not action.strip():  # blank under every CanonConfig
                 raise InputError("empty action after canonicalization")
+            if not (action.isascii() or _utf8(action)):
+                raise InputError(f"step {i} action holds a lone surrogate")
+            if not (observation is None or observation.isascii() or _utf8(observation)):
+                raise InputError(f"step {i} observation holds a lone surrogate")
         if meta is not None:
             if not isinstance(meta, dict):
                 raise InputError("meta must be an object")
             try:
-                _encode(meta)
+                text = _encode(meta)
             except (TypeError, ValueError) as exc:  # NaN or an infinity; a set, say
                 raise InputError(f"meta has no JSON form: {exc}") from None
+            if not (text.isascii() or _utf8(text)):
+                raise InputError("meta holds a lone surrogate")
+            if _decode(text) != meta:  # a tuple, say, or a key that is not a string
+                raise InputError("meta does not read back equal from its JSON form")
         self.__dict__.update(
             instance_id=instance_id, trajectory_id=trajectory_id, prompt=prompt, steps=steps,
             resolved=resolved, meta={} if meta is None else meta, _keys={},
@@ -188,6 +208,10 @@ def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) ->
     if not isinstance(obj, dict):
         raise InputError("record is not an object")
     get = obj.get
+    meta = get("meta")
+    unknown = {key: value for key, value in obj.items() if key not in _KNOWN_FIELDS}
+    if unknown and (meta is None or isinstance(meta, dict)):
+        meta = {**(meta or {}), **unknown}  # unknown fields survive round-trips via meta
     raw_steps = get("steps")
     # Step(action, observation), but cheaper; a step that is no object has no
     # action, and `steps` that is no array has no steps
@@ -197,12 +221,8 @@ def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) ->
         for raw in raw_steps
     ]) if isinstance(raw_steps, list) else ()
     t = Trajectory(
-        get("instance_id"), get("trajectory_id"), get("prompt"), steps, get("resolved"),
-        get("meta"),
+        get("instance_id"), get("trajectory_id"), get("prompt"), steps, get("resolved"), meta,
     )
-    for key, value in obj.items():
-        if key not in _KNOWN_FIELDS:
-            t.meta[key] = value  # unknown fields survive round-trips via meta
     t._keys[canon] = tuple([key_of(step[0]) for step in steps])  # no action is blank now
     return t
 
@@ -228,12 +248,7 @@ def iter_trajectories(
                 line = line.decode("utf-8")
             if not line.strip():
                 continue
-            obj = _decode(line)
-            if "\\u" in line:
-                # a \u escape can decode to a lone surrogate, which no UTF-8
-                # output can hold: UnicodeEncodeError
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            t = _parse_record(obj, canon, key_of)
+            t = _parse_record(_decode(line), canon, key_of)
         # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer
         # too long to convert; RecursionError: nesting deeper than the decoder follows
         except (ValueError, RecursionError, InputError) as exc:

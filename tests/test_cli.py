@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajtree import cli, errors, model, pipeline
+from trajtree import cli, errors, ingest, model, pipeline, scoring
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
 from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, emit_stats, sft_to_dict
 from trajtree.errors import InputError
@@ -262,10 +262,9 @@ class TestExitCodes:
 
     def test_lone_surrogate_lenient_is_skipped(self, tmp_path, corpus_path):
         bad = tmp_path / "bad.jsonl"
-        line = serialize_trajectory(make_traj("t0", [("a\ud800", None)], 1))
         valid = serialize_trajectory(make_traj("t0", [("search", None)], 1)).encode()
         for bad_line in (
-            line.encode("ascii", "backslashreplace"),
+            valid.replace(b'"action":"search"', b'"action":"a\\ud800"'),
             *(valid.replace(b'"meta":{}', b'"meta":{"x":%s}' % n) for n in self.NON_FINITE),
         ):
             bad.write_bytes(bad_line + b"\n" + corpus_path.read_bytes())
@@ -817,6 +816,16 @@ class TestSynthAndSelfcheck:
         args = cli.build_parser().parse_args(["synth", "--out-dir", "o"])
         config = cli.load_config(None, {})
         assert cli._synth_config(args, config) == SynthConfig(seed=0, instances=20)
+
+    def test_stage_flags_default_to_stage_config(self, monkeypatch):
+        # `all` runs with the config defaults; selfcheck and synth's ground
+        # truth with StageConfig(), and the library with the stage constants
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        defaults = StageConfig()
+        assert cli.stage_config(cli.load_config(None, {})) == defaults
+        assert ingest.DEFAULT_LOOP_THRESHOLD == defaults.loop_threshold
+        assert ingest.DEFAULT_OUTLIER_MIN_PREFIX == defaults.outlier_min_prefix
+        assert scoring.DEFAULT_THRESHOLD == defaults.critical_threshold
 
     def test_selfcheck_deterministic_across_jobs(self, tmp_path):
         lines = []

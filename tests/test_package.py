@@ -1,10 +1,11 @@
-"""The lazy package API and the modules each command loads."""
+"""The package's import paths and the modules each command loads."""
 
 import ast
 import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +13,38 @@ from pathlib import Path
 import pytest
 
 import trajtree
-from trajtree import model
+from trajtree.cli import main
 from trajtree.model import serialize_trajectory
 
 import test_synth
 
 SRC = Path(trajtree.__file__).resolve().parents[1]
 BENCH = SRC.parent / "bench"
+
+# the library's public names, each imported from the module that defines it
+# (the package root re-exports none of them)
+PUBLIC = {name: module for module, names in {
+    "emit": ("DpoExample", "MaskedSegment", "SftExample", "emit_dpo", "emit_sft", "emit_stats"),
+    "errors": ("ConfigError", "InputError", "InvariantError", "TrajtreeError"),
+    "ingest": (
+        "IngestReport", "deduplicate", "filter_loops", "filter_outliers", "group_by_instance",
+        "ingest_trajectories",
+    ),
+    "losses": (
+        "DpoGrad", "DpoInputs", "TrajectoryLogProbs", "dpo_loss", "dpo_loss_grad", "sft_loss",
+    ),
+    "model": (
+        "CanonConfig", "Step", "Trajectory", "canonicalize_action", "parse_trajectory_stream",
+        "serialize_trajectory",
+    ),
+    "pipeline": ("SynthConfig",),
+    "scoring": (
+        "CriticalPair", "NodeScore", "Segment", "extract_critical_pairs",
+        "identify_critical_actions", "score_nodes",
+    ),
+    "synth": ("brute_force_pairs", "brute_force_scores", "generate"),
+    "tree": ("TrajTree", "TreeNode", "build_tree", "enumerate_paths"),
+}.items() for name in names}
 
 
 def run_fresh(script: str, *args: str, cwd: Path | None = None) -> str:
@@ -40,50 +66,26 @@ class TestLazyPackage:
         assert "trajtree" in loaded
         assert [name for name in loaded if name.startswith("trajtree.")] == []
 
-    def test_submodule_attribute_loads_it(self):
-        # a fresh interpreter, so no earlier import has bound the attribute
-        loaded = json.loads(run_fresh(
-            "import json, sys, trajtree\n"
-            "assert trajtree.synth.generate is trajtree.generate\n"
-            "assert callable(trajtree.cli.main)\n"
-            "assert {'synth', 'cli', 'losses'} <= set(dir(trajtree))\n"
-            "print(json.dumps(sorted(sys.modules)))"
-        ))
-        assert {"trajtree.synth", "trajtree.cli"} <= set(loaded)
-        assert "trajtree.losses" not in loaded
-
     def test_oracles_load_no_hashlib(self):
         # only generating a corpus hashes anything
         loaded = json.loads(run_fresh(
             "import json, sys\n"
-            "from trajtree import brute_force_pairs, brute_force_scores\n"
+            "from trajtree.synth import brute_force_pairs, brute_force_scores\n"
             "print(json.dumps(sorted(sys.modules)))"
         ))
         assert "trajtree.synth" in loaded
         assert "hashlib" not in loaded and "_hashlib" not in loaded
 
-    @pytest.mark.parametrize("name", trajtree.__all__)
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
     def test_name_is_its_defining_modules_object(self, name):
-        module = importlib.import_module(f"trajtree.{trajtree._EXPORTS[name]}")
-        assert getattr(trajtree, name) is getattr(module, name)
+        module = importlib.import_module(f"trajtree.{PUBLIC[name]}")
         assert getattr(module, name).__module__ == module.__name__
 
     def test_synth_config_is_one_class(self):
         from trajtree.pipeline import SynthConfig
         from trajtree.synth import SynthConfig as FromSynth
 
-        assert trajtree.SynthConfig is SynthConfig is FromSynth
-
-    def test_star_import(self):
-        namespace: dict = {}
-        exec("from trajtree import *", namespace)
-        assert {name: namespace[name] for name in trajtree.__all__} == {
-            name: getattr(trajtree, name) for name in trajtree.__all__
-        }
-
-    def test_dir_lists_all(self):
-        assert set(trajtree.__all__) <= set(dir(trajtree))
-        assert "__version__" in dir(trajtree)
+        assert SynthConfig is FromSynth
 
     @pytest.mark.parametrize("script", ["tracing.py", "run.py"])
     def test_every_name_the_benchmark_reads_exists(self, script):
@@ -96,7 +98,12 @@ class TestLazyPackage:
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trajtree"):
                 source = importlib.import_module(node.module)
                 for alias in node.names:
-                    value = getattr(source, alias.name, None)
+                    # a submodule (`from trajtree import cli`) is bound on its
+                    # package only once something has imported it
+                    try:
+                        value = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        value = getattr(source, alias.name, None)
                     if isinstance(value, type(trajtree)):
                         modules[alias.asname or alias.name] = value
                     read.append((source, alias.name))
@@ -117,22 +124,17 @@ class TestLazyPackage:
             exec("from trajtree import frobnicate", {})
         assert not hasattr(trajtree, "frobnicate")
 
-    def test_sys_modules_patching_reaches_the_package(self, monkeypatch):
-        # the loop TestCanonicalizeOnce uses to count canonicalize_action calls
-        original = model.canonicalize_action
-        calls = 0
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("trajtree") and getattr(mod, "canonicalize_action", None) is original:
-                monkeypatch.setattr(mod, "canonicalize_action", counting)
-        assert trajtree.canonicalize_action("a  b") == "a b"
-        assert model.canonicalize_action("c") == "c"
-        assert calls == 2
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's one example of the import paths, on a small synth corpus
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library use\n+```python\n(.*?)^```", readme, re.M | re.S)
+    assert example, "no python block under '## Library use'"
+    assert main(["synth", "--seed", "1", "--instances", "3", "--out-dir", str(tmp_path)]) == 0
+    monkeypatch.chdir(tmp_path)  # the example opens corpus.jsonl
+    namespace: dict = {}
+    exec(compile(example[1], "README.md", "exec"), namespace)
+    assert isinstance(namespace["triples"], list)
 
 
 def test_every_imported_name_is_used():
@@ -154,8 +156,7 @@ def test_every_imported_name_is_used():
 
 def test_every_module_level_name_is_read():
     # a def, class or constant of a trajtree module that no module of src/,
-    # tests/ or bench/ reads: as a name, an attribute, an imported alias, or
-    # an identifier string (the _MODULES table, getattr)
+    # tests/ or bench/ reads: as a name, an attribute or an imported alias
     read: set[str] = set()
     for path in [*(SRC / "trajtree").glob("*.py"), *Path(__file__).parent.glob("*.py"),
                  *BENCH.glob("*.py")]:
@@ -166,9 +167,6 @@ def test_every_module_level_name_is_read():
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier():
-                    read.add(node.value)
     dead = []
     for path in sorted((SRC / "trajtree").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
