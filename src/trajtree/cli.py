@@ -26,13 +26,16 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .emit import stats_from_totals
 from .errors import ConfigError, InputError, InvariantError, TrajtreeError
-from .ingest import IngestReport, group_by_instance, ingest_trajectories
+from .ingest import (
+    DEFAULT_LOOP_THRESHOLD, DEFAULT_OUTLIER_MIN_PREFIX, IngestReport, group_by_instance,
+    ingest_trajectories,
+)
 from .model import (
     CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories,
     serialize_trajectory,
 )
 from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
-from .scoring import format_ratio, format_rational
+from .scoring import ALL_PAIRS, DEFAULT_THRESHOLD, MAX_MIN, format_ratio, format_rational
 from .tree import LEAF, ROOT, TrajTree, path_ids, path_totals
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
@@ -42,11 +45,11 @@ EXIT_USAGE = 1
 
 _CONFIG_DEFAULTS: dict[str, Any] = {
     "collapse_whitespace": True,
-    "loop_threshold": 3,
-    "outlier_min_prefix": 1,
+    "loop_threshold": DEFAULT_LOOP_THRESHOLD,
+    "outlier_min_prefix": DEFAULT_OUTLIER_MIN_PREFIX,
     "merge_mode": "action-only",  # action-only | strict
-    "critical_threshold": "1/2",
-    "pair_mode": "all-pairs",  # all-pairs | max-min
+    "critical_threshold": format_rational(DEFAULT_THRESHOLD),
+    "pair_mode": ALL_PAIRS,  # all-pairs | max-min
     "sft_reduction": "sum",
     "lenient": False,
     "jobs": 1,
@@ -79,8 +82,8 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
 def _validate_config(config: dict[str, Any]) -> None:
     if config["merge_mode"] not in ("action-only", "strict"):
         raise ConfigError(f"merge_mode must be action-only or strict: {config['merge_mode']!r}")
-    if config["pair_mode"] not in ("all-pairs", "max-min"):
-        raise ConfigError(f"pair_mode must be all-pairs or max-min: {config['pair_mode']!r}")
+    if config["pair_mode"] not in (ALL_PAIRS, MAX_MIN):
+        raise ConfigError(f"pair_mode must be {ALL_PAIRS} or {MAX_MIN}: {config['pair_mode']!r}")
     if config["sft_reduction"] not in ("sum", "mean"):
         raise ConfigError(f"sft_reduction must be sum or mean: {config['sft_reduction']!r}")
     for key in ("collapse_whitespace", "lenient"):
@@ -550,10 +553,11 @@ def cmd_loss(args, config) -> int:
                     obj = json.loads(line, parse_int=_int)
                     # a non-finite result is an error, never `Infinity`
                     lines_out.append(_encode(loss_record(obj)) + "\n")
+                except KeyError as exc:  # only a record's own fields are looked up
+                    raise InputError(f"missing field {exc.args[0]!r}", line=line_no) from exc
                 # ConfigError: the record's own beta or reduction is invalid
                 except (
-                    ConfigError, InputError, KeyError, TypeError, ValueError, OverflowError,
-                    RecursionError,
+                    ConfigError, InputError, TypeError, ValueError, OverflowError, RecursionError,
                 ) as exc:
                     raise InputError(str(exc), line=line_no) from exc
     except OSError as exc:

@@ -9,15 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Any, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
-
-# distinct actions whose keys one `key_memo` keeps before it empties itself,
-# which bounds the memo's memory; a plain dict, as an LRU's per-entry links
-# cost 0.25-0.35 MB more peak RSS for the same hits on the deep and wide
-# benchmark corpora
-_KEY_MEMO_SIZE = 4096
 
 
 def _finite(text: str) -> float:
@@ -182,28 +176,12 @@ class Trajectory(_Record):
         """Canonical merge keys for the action sequence, computed once per config."""
         keys = self._keys.get(config)
         if keys is None:
-            keys = tuple(canonicalize_action(s.action, config) for s in self.steps)
+            keys = tuple([canonicalize_action(step[0], config) for step in self.steps])
             self._keys[config] = keys
         return keys
 
 
-def key_memo(canon: CanonConfig) -> Callable[[str], str]:
-    """`canonicalize_action(raw, canon)`, memoized for up to
-    `_KEY_MEMO_SIZE` distinct actions at a time."""
-    memo: dict[str, str] = {}
-
-    def key_of(raw: str) -> str:
-        key = memo.get(raw)
-        if key is None:
-            if len(memo) >= _KEY_MEMO_SIZE:
-                memo.clear()
-            key = memo[raw] = canonicalize_action(raw, canon)
-        return key
-
-    return key_of
-
-
-def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) -> Trajectory:
+def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
     """Decode one record's JSON shape; `Trajectory` checks every field."""
     if not isinstance(obj, dict):
         raise InputError("record is not an object")
@@ -223,7 +201,7 @@ def _parse_record(obj: Any, canon: CanonConfig, key_of: Callable[[str], str]) ->
     t = Trajectory(
         get("instance_id"), get("trajectory_id"), get("prompt"), steps, get("resolved"), meta,
     )
-    t._keys[canon] = tuple([key_of(step[0]) for step in steps])  # no action is blank now
+    t.action_keys(canon)  # cached on the record; no action is blank now
     return t
 
 
@@ -237,18 +215,16 @@ def iter_trajectories(
     Yields each parsed trajectory, and None for each malformed line that
     lenient mode skips; in strict mode the first malformed line raises
     InputError with its line number. Blank lines yield nothing. Each
-    trajectory's action_keys for `canon` are filled from the parse's own
-    canonicalization, so later stages never canonicalize again, through one
-    `key_memo` per call.
+    trajectory's action_keys for `canon` are filled as it is parsed, so later
+    stages never canonicalize again; nothing of a yielded record is kept.
     """
-    key_of = key_memo(canon)
     for line_no, line in enumerate(source, start=1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
             if not line.strip():
                 continue
-            t = _parse_record(_decode(line), canon, key_of)
+            t = _parse_record(_decode(line), canon)
         # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer
         # too long to convert; RecursionError: nesting deeper than the decoder follows
         except (ValueError, RecursionError, InputError) as exc:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, NamedTuple, Sequence
 
 from .errors import ConfigError, InvariantError
-from .ingest import ingest_trajectories
+from .ingest import DEFAULT_LOOP_THRESHOLD, DEFAULT_OUTLIER_MIN_PREFIX, ingest_trajectories
 from .model import CanonConfig, Trajectory
 from .scoring import (
     ALL_PAIRS, DEFAULT_THRESHOLD, CriticalPair, NodeScore, critical_triples, distinct_triples,
@@ -24,8 +24,8 @@ from .tree import TrajTree, build_tree, enumerate_paths, path_ids
 
 class StageConfig(NamedTuple):
     canon: CanonConfig = CanonConfig()
-    loop_threshold: int = 3
-    outlier_min_prefix: int = 1
+    loop_threshold: int = DEFAULT_LOOP_THRESHOLD
+    outlier_min_prefix: int = DEFAULT_OUTLIER_MIN_PREFIX
     strict_merge: bool = False
     critical_threshold: Fraction = DEFAULT_THRESHOLD
     pair_mode: str = ALL_PAIRS

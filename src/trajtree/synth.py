@@ -10,9 +10,9 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from .model import CanonConfig, Step, Trajectory, _string, key_memo
+from .model import CanonConfig, Step, Trajectory, _string
 from .pipeline import SynthConfig  # defined with StageConfig; importable from here too
 from .scoring import DEFAULT_THRESHOLD
 
@@ -22,12 +22,12 @@ _instance_name = "inst{:04d}".format  # an instance's name from its index
 
 def _attach_observations(
     instance_id: str, trajectory_id: str, actions: list[str], resolved: int, prompt: str,
-    divergent: bool, omit_final_obs: bool, key_of: Callable[[str], str],
+    divergent: bool, omit_final_obs: bool,
 ) -> Trajectory:
     """The observation after the first k actions is `obs[instance_id:k:digest]`,
     digest being the sha1 of those actions joined by "|". It comes from the
     one running hash itself, with no copy: a hashlib object can still be
-    updated after a digest. Its default action_keys come from `key_of`."""
+    updated after a digest."""
     import hashlib  # loads libcrypto; only synthesis hashes anything
 
     head, tail = f"obs[{instance_id}:", f"]:{trajectory_id}" if divergent else "]"
@@ -41,14 +41,11 @@ def _attach_observations(
         steps.append(tuple.__new__(Step, (action, f"{head}{k}:{hexdigest()[:10]}{tail}")))
     if omit_final_obs:
         steps[-1] = tuple.__new__(Step, (actions[-1], None))
-    t = Trajectory(instance_id, trajectory_id, prompt, tuple(steps), resolved, {"source": "synth"})
-    t._keys[CanonConfig()] = tuple(map(key_of, actions))
-    return t
+    return Trajectory(instance_id, trajectory_id, prompt, tuple(steps), resolved,
+                      {"source": "synth"})
 
 
-def _generate_instance(
-    config: SynthConfig, index: int, key_of: Callable[[str], str]
-) -> tuple[list[Trajectory], dict[str, Any]]:
+def _generate_instance(config: SynthConfig, index: int) -> tuple[list[Trajectory], dict[str, Any]]:
     # per-instance derived seed keeps generation order-independent across instances
     rng = random.Random(f"{config.seed}:{index}")
     instance_id = _instance_name(index)
@@ -112,7 +109,7 @@ def _generate_instance(
         omit_final = tag == "fresh" and rng.random() < 0.3
         trajectories.append(_attach_observations(
             instance_id, f"{instance_id}/t{t:03d}", actions, resolved, prompt,
-            config.divergent_observations, omit_final, key_of,
+            config.divergent_observations, omit_final,
         ))
 
     retained = _intended_retained(trajectories)
@@ -152,13 +149,11 @@ def _intended_retained(ts: list[Trajectory]) -> list[Trajectory]:
 
 def iter_instances(config: SynthConfig) -> Iterator[tuple[list[Trajectory], dict[str, Any]]]:
     """Each instance's trajectories and ground-truth record, generated lazily
-    in the sorted order of their names (index order below 10,000 instances),
-    canonicalizing through one `key_memo`. The config is validated before
-    this returns."""
+    in the sorted order of their names (index order below 10,000 instances).
+    The config is validated before this returns."""
     config.validate()
-    key_of = key_memo(CanonConfig())
     order = sorted(range(config.instances), key=_instance_name)
-    return (_generate_instance(config, i, key_of) for i in order)
+    return (_generate_instance(config, i) for i in order)
 
 
 def generate(config: SynthConfig) -> tuple[list[Trajectory], dict[str, Any]]:

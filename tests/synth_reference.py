@@ -11,9 +11,9 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
-from trajtree.model import CanonConfig, Step, Trajectory
+from trajtree.model import Step, Trajectory
 from trajtree.scoring import DEFAULT_THRESHOLD
 
 _string = json.encoder.encode_basestring
@@ -25,7 +25,7 @@ _SUBITEM = _ITEM + "  "
 
 def attach_observations(
     instance_id: str, trajectory_id: str, actions: list[str], resolved: int, prompt: str,
-    divergent: bool, omit_final_obs: bool, key_of: Callable[[str], str],
+    divergent: bool, omit_final_obs: bool,
 ) -> Trajectory:
     suffix = f":{trajectory_id}" if divergent else ""
     prefix_hash = hashlib.sha1()
@@ -39,9 +39,9 @@ def attach_observations(
         else:
             obs = f"obs[{instance_id}:{i + 1}:{prefix_hash.copy().hexdigest()[:10]}]{suffix}"
         steps.append(Step(action=action, observation=obs))
-    t = Trajectory(instance_id, trajectory_id, prompt, tuple(steps), resolved, {"source": "synth"})
-    t._keys[CanonConfig()] = tuple(map(key_of, actions))
-    return t
+    return Trajectory(
+        instance_id, trajectory_id, prompt, tuple(steps), resolved, {"source": "synth"},
+    )
 
 
 def intended_retained(ts: list[Trajectory]) -> list[Trajectory]:

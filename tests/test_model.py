@@ -2,17 +2,18 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajtree import model
 from trajtree.errors import InputError
 from trajtree.model import (
     CanonConfig,
     Step,
     Trajectory,
     canonicalize_action,
+    iter_trajectories,
     parse_trajectory_stream,
     serialize_trajectory,
 )
@@ -141,26 +142,33 @@ class TestParse:
         ts, _ = parse_trajectory_stream(io.StringIO("\n".join(lines)))
         assert [t.trajectory_id for t in ts] == [f"t{i}" for i in range(5)]
 
-    def test_key_memo_is_bounded(self, monkeypatch):
-        # a memo of two keys empties itself on the third distinct action and
-        # still gives every step its own key
-        monkeypatch.setattr(model, "_KEY_MEMO_SIZE", 2)
-        calls = []
-        original = model.canonicalize_action
-
-        def counting(raw, config):
-            calls.append(raw)
-            return original(raw, config)
-
-        monkeypatch.setattr(model, "canonicalize_action", counting)
-        actions = ["a  x", "b", "c\t", "a  x", "b", "b"]
-        line = json.dumps({
-            "instance_id": "i", "trajectory_id": "t", "prompt": "p", "resolved": 0,
-            "steps": [{"action": a, "observation": "o"} for a in actions],
-        })
-        (t,), _ = parse_trajectory_stream(io.StringIO(line + "\n"))
-        assert t.action_keys() == ("a x", "b", "c", "a x", "b", "b")
-        assert calls == ["a  x", "b", "c\t", "a  x", "b"]
+    def test_keeps_nothing_of_a_yielded_record(self):
+        # 300 records, each with a distinct ~10 KB multi-line action that is
+        # not its own key: ~3 MB of action text, of which the parser holds one
+        # record's worth at a time
+        body = "".join(f"    line {k}:  x = x  +  {k}\n" for k in range(350))
+        lines = [
+            json.dumps({
+                "instance_id": f"i{i}", "trajectory_id": "t", "prompt": "p", "resolved": 0,
+                "steps": [{"action": f"edit  file{i}.py\n{body}end"}],
+            }) + "\n"
+            for i in range(300)
+        ]
+        assert min(map(len, lines)) > 10_000
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, t in enumerate(iter_trajectories(lines), 1):
+                assert t.action_keys()[0] != t.steps[0].action
+                del t
+                if n == len(lines):  # the generator is still open on the last line
+                    held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert held < 1_000_000
 
 
 class TestActionKeys:

@@ -184,6 +184,18 @@ def test_every_module_level_name_is_read():
     assert dead == []
 
 
+def test_only_model_touches_the_key_cache():
+    # Trajectory._keys, the one cache of canonical keys, is read and written
+    # by model.py alone; every other module asks Trajectory.action_keys
+    touched = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "trajtree").glob("*.py")) if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_keys"
+    ]
+    assert touched == []
+
+
 # loaded only by `synth`/`selfcheck` (hashlib with it) and `loss`
 HEAVY = ("hashlib", "_hashlib", "trajtree.synth", "trajtree.losses")
 # loaded by no command: dataclasses imports inspect, and with it ast, dis and tokenize

@@ -15,7 +15,7 @@ from trajtree import pipeline, synth
 from trajtree.cli import json_doc, main
 from trajtree.errors import ConfigError, InvariantError
 from trajtree.ingest import ingest_trajectories
-from trajtree.model import CanonConfig, Step, Trajectory, key_memo, serialize_trajectory
+from trajtree.model import Step, Trajectory, serialize_trajectory
 from trajtree.pipeline import StageConfig, mine_instance, selfcheck
 from trajtree.synth import (
     SynthConfig,
@@ -391,12 +391,11 @@ class TestSynthFiles:
 
 
 def assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:
-    """Equal field by field, with Step steps and the same action_keys memo."""
+    """Equal field by field, with Step steps and the same action_keys."""
     assert type(got) is Trajectory
     for name in Trajectory._fields:
         assert getattr(got, name) == getattr(want, name), name
     assert all(type(step) is Step for step in got.steps)
-    assert got._keys == want._keys
     assert got.action_keys() == want.action_keys()
 
 
@@ -419,18 +418,17 @@ class TestMatchesReference:
     ))
     @settings(max_examples=60, deadline=None)
     def test_instances(self, cfg):
-        key_of = key_memo(CanonConfig())
         for ts, truth in iter_instances(cfg):
             for t in ts:
                 actions = [step.action for step in t.steps]
                 omitted = t.steps[-1].observation is None
                 args = (t.instance_id, t.trajectory_id, actions, t.resolved, t.prompt,
                         cfg.divergent_observations)
-                assert_same_trajectory(t, reference.attach_observations(*args, omitted, key_of))
+                assert_same_trajectory(t, reference.attach_observations(*args, omitted))
                 for omit in (False, True):
                     assert_same_trajectory(
-                        _attach_observations(*args, omit, key_of),
-                        reference.attach_observations(*args, omit, key_of),
+                        _attach_observations(*args, omit),
+                        reference.attach_observations(*args, omit),
                     )
             retained = reference.intended_retained(ts)
             assert [id(t) for t in _intended_retained(ts)] == [id(t) for t in retained]
