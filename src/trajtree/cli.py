@@ -17,7 +17,6 @@ import errno
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +30,7 @@ from .ingest import (
     ingest_trajectories,
 )
 from .model import (
-    CanonConfig, Trajectory, _encode, _int, _string, iter_trajectories,
+    CanonConfig, Trajectory, _decode, _encode, _string, iter_trajectories,
     serialize_trajectory,
 )
 from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
@@ -39,9 +38,6 @@ from .scoring import ALL_PAIRS, DEFAULT_THRESHOLD, MAX_MIN, format_ratio, format
 from .tree import LEAF, ROOT, TrajTree, path_ids, path_totals
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
-
-EXIT_OK = 0
-EXIT_USAGE = 1
 
 _CONFIG_DEFAULTS: dict[str, Any] = {
     "collapse_whitespace": True,
@@ -63,9 +59,9 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        # ValueError: not UTF-8 (UnicodeDecodeError) or not JSON (JSONDecodeError);
-        # RecursionError: nesting deeper than the decoder follows
+                loaded = _decode(fh.read())
+        # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer
+        # too long to convert; RecursionError: nesting deeper than the decoder follows
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -145,20 +141,18 @@ def output_files(out: Path, names: Iterable[str]) -> Iterator[dict[str, TextIO]]
     (Only a failure among the renames themselves can leave the names
     renamed so far replaced.)
 
-    The files get the mode a plain open() would give them (0o666 less the
-    umask), not mkstemp's 0o600.
+    Each file is created as a plain open() creates it, with mode 0o666 less
+    the umask; a temp name that already exists fails the block and is left
+    as it was.
     """
     out.mkdir(parents=True, exist_ok=True)
-    umask = os.umask(0)
-    os.umask(umask)
-    temps: list[tuple[str, str]] = []
+    temps: list[tuple[str, Path]] = []
     files: dict[str, TextIO] = {}
     try:
         for name in names:
-            fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.")
+            tmp = out / f".{name}.{os.urandom(8).hex()}"
+            files[name] = open(tmp, "x", encoding="utf-8")
             temps.append((name, tmp))
-            files[name] = os.fdopen(fd, "w", encoding="utf-8")
-            os.fchmod(fd, 0o666 & ~umask)
         yield files
         for fh in files.values():
             fh.close()
@@ -425,7 +419,7 @@ def _write(
             _write_instance(run, files, _Instance(instance_id, group, stage))
 
 
-def cmd_pipeline(args, config) -> int:
+def cmd_pipeline(args, config) -> None:
     """Write the command's COMMAND_OUTPUTS row, one instance at a time.
 
     Only `ingest` and `all` clean the corpus; later stages take it as
@@ -471,7 +465,6 @@ def cmd_pipeline(args, config) -> int:
             run = attempt(streamed=False)
     if "sft.jsonl" in names and run.instances and not run.sft_examples:
         print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)
-    return EXIT_OK
 
 
 # the synth/selfcheck flags and their defaults; seed is a config key
@@ -482,7 +475,7 @@ def _synth_config(args, config) -> SynthConfig:
     return SynthConfig(seed=config["seed"], **{name: getattr(args, name) for name in _SYNTH_FLAGS})
 
 
-def cmd_synth(args, config) -> int:
+def cmd_synth(args, config) -> None:
     """Write each instance's corpus lines and its rendered ground-truth record
     as it is generated, in `iter_instances`' order, which is the order
     ground_truth.json lists the instances in."""
@@ -496,14 +489,12 @@ def cmd_synth(args, config) -> int:
                 files["corpus.jsonl"].write("".join(serialize_trajectory(t) + "\n" for t in ts))
                 yield render_truth(truth)
         files["ground_truth.json"].writelines(truth_chunks(synth_config, entries()))
-    return EXIT_OK
 
 
-def cmd_selfcheck(args, config) -> int:
+def cmd_selfcheck(args, config) -> None:
     synth_cfg = _synth_config(args, config)
     summary = selfcheck(synth_cfg)
     print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
-    return EXIT_OK
 
 
 def _number(value: Any, name: str, index: int | None = None) -> int | float:
@@ -521,7 +512,7 @@ def _numbers(value: Any, name: str) -> tuple[int | float, ...]:
     return tuple(_number(v, name, i) for i, v in enumerate(value))
 
 
-def cmd_loss(args, config) -> int:
+def cmd_loss(args, config) -> None:
     from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
 
     def loss_record(obj: Any) -> dict[str, Any]:
@@ -549,10 +540,9 @@ def cmd_loss(args, config) -> int:
                     line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
                     if not line.strip():
                         continue
-                    # too long an integer fails as the corpus parser words it
-                    obj = json.loads(line, parse_int=_int)
-                    # a non-finite result is an error, never `Infinity`
-                    lines_out.append(_encode(loss_record(obj)) + "\n")
+                    # numbers read as in a corpus line; a non-finite result
+                    # is an error, never `Infinity`
+                    lines_out.append(_encode(loss_record(_decode(line))) + "\n")
                 except KeyError as exc:  # only a record's own fields are looked up
                     raise InputError(f"missing field {exc.args[0]!r}", line=line_no) from exc
                 # ConfigError: the record's own beta or reduction is invalid
@@ -567,7 +557,6 @@ def cmd_loss(args, config) -> int:
         atomic_write(Path(args.output), text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -626,11 +615,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         overrides = {k: getattr(args, k, None) for k in _CONFIG_DEFAULTS}
         config = load_config(args.config, overrides)
-        return args.func(args, config)
+        args.func(args, config)
     # OSError: an out dir or output file that cannot be made or written
     except (TrajtreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, TrajtreeError) else EXIT_USAGE
+        return exc.exit_code if isinstance(exc, TrajtreeError) else ConfigError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

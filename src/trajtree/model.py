@@ -130,7 +130,7 @@ class Trajectory(_Record):
         if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved not in (0, 1):
             raise InputError(f"resolved must be integer 0 or 1, got {resolved!r}")
         if isinstance(steps, list):
-            steps = tuple(steps)  # as the parser gives them
+            steps = tuple(steps)  # a list of steps is stored as a tuple
         if not isinstance(steps, tuple) or not steps:
             raise InputError("steps must be a non-empty array")
         last = len(steps) - 1
@@ -156,11 +156,15 @@ class Trajectory(_Record):
                 raise InputError("meta must be an object")
             try:
                 text = _encode(meta)
-            except (TypeError, ValueError) as exc:  # NaN or an infinity; a set, say
+                # a tuple, say, or a key that is not a string reads back different
+                differs = _decode(text) != meta
+            # NaN or an infinity; a set, say; nesting deeper than the encoder,
+            # the decoder or the comparison follows
+            except (TypeError, ValueError, RecursionError) as exc:
                 raise InputError(f"meta has no JSON form: {exc}") from None
             if not (text.isascii() or _utf8(text)):
                 raise InputError("meta holds a lone surrogate")
-            if _decode(text) != meta:  # a tuple, say, or a key that is not a string
+            if differs:
                 raise InputError("meta does not read back equal from its JSON form")
         self.__dict__.update(
             instance_id=instance_id, trajectory_id=trajectory_id, prompt=prompt, steps=steps,

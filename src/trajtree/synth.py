@@ -262,15 +262,13 @@ def brute_force_pairs(
     """
     threshold = Fraction(threshold)
     num, den = threshold.numerator, threshold.denominator
-    children: dict[tuple[str, ...], list[str]] = {}
-    for prefix in prefix_scores:
+    # parent prefix -> (next action, successes, total) of each of its children
+    children: dict[tuple[str, ...], list[tuple[str, int, int]]] = {}
+    for prefix, (s, n) in prefix_scores.items():
         if prefix:
-            children.setdefault(prefix[:-1], []).append(prefix[-1])
+            children.setdefault(prefix[:-1], []).append((prefix[-1], s, n))
     pairs = set()
-    for parent, actions in children.items():
-        if len(actions) < 2:
-            continue
-        counts = [(a, *prefix_scores[parent + (a,)]) for a in actions]
+    for parent, counts in children.items():
         for i, (a, sa, na) in enumerate(counts):
             for b, sb, nb in counts[i + 1 :]:
                 cross = (sa * nb - sb * na) * den

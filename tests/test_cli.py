@@ -1062,6 +1062,36 @@ class TestLossCommand:
         assert json.loads(out.read_text())["loss"] == 1.0
 
 
+@pytest.mark.parametrize("number, message", [
+    ("NaN", "non-finite number NaN"),
+    ("-Infinity", "non-finite number -Infinity"),
+    ("1e400", "non-finite number 1e400"),
+    ("9" * 5000, "integer literal of 5000 digits is too long"),
+], ids=["nan", "minus_infinity", "1e400", "5000_digits"])
+def test_every_json_input_reads_numbers_one_way(number, message, corpus_path, tmp_path, capsys):
+    # a corpus line, a loss record and a config file fail on the number itself,
+    # with the same words
+    line = corpus_path.read_text(encoding="utf-8").replace(
+        '"meta":{}', '"meta":{"x":' + number + "}", 1
+    )
+    corpus, records = tmp_path / "corpus.jsonl", tmp_path / "loss.jsonl"
+    cfg = tmp_path / "cfg.json"
+    corpus.write_text(line, encoding="utf-8")
+    records.write_text('{"kind": "sft", "action_logps": [' + number + "]}\n", encoding="utf-8")
+    cfg.write_text('{"seed": ' + number + "}", encoding="utf-8")
+    for argv, code, err in (
+        (["all", "--input", str(corpus), "--out-dir", str(tmp_path / "o")], 2, "line 1: "),
+        (["loss", "--input", str(records)], 2, "line 1: "),
+        (["--config", str(cfg), "all", "--input", str(corpus_path), "--out-dir",
+          str(tmp_path / "o")], 1, f"cannot read config {cfg}: "),
+    ):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: {err}{message}\n", argv
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def json_bytes(documents):
     """JSON lines of `documents`, NaN and Infinity included as Python writes them."""
     return st.lists(documents, min_size=1, max_size=3).map(
@@ -1227,6 +1257,21 @@ class TestNoPartialOutput:
         assert "Is a directory" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [target]
         assert list((out / target).iterdir()) == []
+
+    def test_temp_name_collision_keeps_the_existing_file(
+        self, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        # every temp name gets the same suffix; trees.jsonl's is taken, after
+        # retained.jsonl's temp file was made
+        monkeypatch.setattr(os, "urandom", lambda n: b"\x00" * n)
+        out = tmp_path / "out"
+        taken = out / f".trees.jsonl.{bytes(8).hex()}"
+        out.mkdir()
+        taken.write_text("not ours\n", encoding="utf-8")
+        assert main(["all", "--input", str(corpus_path), "--out-dir", str(out)]) == 1
+        assert "File exists" in capsys.readouterr().err
+        assert list(out.iterdir()) == [taken]
+        assert taken.read_text(encoding="utf-8") == "not ours\n"
 
 
 class TestStreaming:
@@ -1449,6 +1494,26 @@ class TestOutputMode:
             os.umask(old)
         modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
         assert modes == {"corpus.jsonl": 0o644, "ground_truth.json": 0o644}
+
+    def test_no_command_reads_or_sets_the_umask(self, tmp_path, monkeypatch):
+        # setting the umask, even to read it, changes it for every thread of the process
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        synth_dir, out = tmp_path / "synth", tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", umask)
+            assert main(["synth", "--instances", "2", "--out-dir", str(synth_dir)]) == 0
+            corpus = synth_dir / "corpus.jsonl"
+            assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        written = [*synth_dir.iterdir(), *out.iterdir()]
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in written}
+        names = ["corpus.jsonl", "ground_truth.json", *COMMAND_OUTPUTS["all"]]
+        assert modes == dict.fromkeys(names, 0o644)
 
     def test_restrictive_umask_respected(self, tmp_path):
         path = tmp_path / "f.txt"

@@ -208,6 +208,14 @@ class TestStep:
             step.action = "x"
 
 
+def nested_meta(depth: int) -> dict:
+    """A meta of `depth` nested objects."""
+    meta: dict = {}
+    for _ in range(depth):
+        meta = {"x": meta}
+    return meta
+
+
 class TestInvariants:
     def test_resolved_must_be_binary(self):
         with pytest.raises(InputError):
@@ -239,8 +247,8 @@ class TestInvariants:
             Trajectory("i", "t", "p", steps, resolved=0)
 
     @pytest.mark.parametrize("meta", [
-        {"x": float("nan")}, {"x": [1, {"y": float("-inf")}]}, {"x": {1}},
-    ], ids=["nan", "nested_inf", "set"])
+        {"x": float("nan")}, {"x": [1, {"y": float("-inf")}]}, {"x": {1}}, nested_meta(5000),
+    ], ids=["nan", "nested_inf", "set", "nested_5000"])
     def test_meta_with_no_json_form_is_rejected(self, meta):
         with pytest.raises(InputError, match="^meta has no JSON form: "):
             Trajectory("i", "t", "p", (Step("a"),), resolved=0, meta=meta)

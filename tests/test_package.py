@@ -196,6 +196,29 @@ def test_only_model_touches_the_key_cache():
     assert touched == []
 
 
+def test_one_json_reader_and_no_umask_or_tempfile():
+    # model._decode is the one JSON reader, so every input reads numbers one
+    # way; output files are made by a plain exclusive open, which neither
+    # reads nor sets the process-wide umask
+    banned = {("json", "load"), ("json", "loads"), ("os", "umask"), ("os", "fchmod")}
+    found = []
+    for path in sorted((SRC / "trajtree").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [(alias.name, "") for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {module}.{name}".rstrip(".") for module, name in names
+                if (module, name) in banned or module == "tempfile"
+            ]
+    assert found == []
+
+
 # loaded only by `synth`/`selfcheck` (hashlib with it) and `loss`
 HEAVY = ("hashlib", "_hashlib", "trajtree.synth", "trajtree.losses")
 # loaded by no command: dataclasses imports inspect, and with it ast, dis and tokenize
