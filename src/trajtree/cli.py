@@ -20,6 +20,8 @@ import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import add
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -30,12 +32,12 @@ from .ingest import (
     ingest_trajectories,
 )
 from .model import (
-    CanonConfig, Trajectory, _decode, _encode, _string, iter_trajectories,
+    CanonConfig, Trajectory, _decode, _encode, _reason, _string, iter_trajectories,
     serialize_trajectory,
 )
 from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
 from .scoring import ALL_PAIRS, DEFAULT_THRESHOLD, MAX_MIN, format_ratio, format_rational
-from .tree import LEAF, ROOT, TrajTree, path_ids, path_totals
+from .tree import TrajTree, path_ids, path_totals
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
 
@@ -63,7 +65,7 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
         # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer
         # too long to convert; RecursionError: nesting deeper than the decoder follows
         except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path}: {_reason(exc)}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_DEFAULTS)
@@ -212,35 +214,43 @@ class _Instance:
 
     @cached_property
     def tree_parts(self) -> tuple[str, list[str]]:
-        """The tree_to_dict record up to `"nodes":[`, and each node's JSON, for
-        trees.jsonl and scored_trees.jsonl: formatted field by field from the
-        tree's lists, as the compact encoder writes them."""
+        """The tree_to_dict record up to `"nodes":[`, and each node's JSON without
+        its `}`, for trees.jsonl and scored_trees.jsonl, as the compact encoder
+        writes them. A leaf, as build_tree makes it, has no text and no children."""
         tree = self.mined[0]
-        raw, obs, tid = tree.action_raw, tree.observation, tree.trajectory_id
-        nodes = []
-        for node_id, (key, children, outcome) in enumerate(
-            zip(tree.action_key, tree.children, tree.outcome)
-        ):
-            if key is None:  # the root or a leaf
-                kind = f'"{ROOT if outcome is None else LEAF}","action_key":null,"action_raw":null'
-                text = None
+        bodies = []
+        for node_id, (key, raw, text, children, outcome, tid) in enumerate(zip(
+            tree.action_key, tree.action_raw, tree.observation, tree.children, tree.outcome,
+            tree.trajectory_id,
+        )):
+            if key is not None:
+                key_text = _string(key)  # the raw text's JSON too, when the raw text is the key
+                kids = str(children[0]) if len(children) == 1 else ",".join(map(str, children))
+                bodies.append(
+                    f'{{"node_id":{node_id},"kind":"action","action_key":{key_text}'
+                    f',"action_raw":{key_text if raw == key else _string(raw)}'
+                    f',"observation":{"null" if text is None else _string(text)}'
+                    f',"children":[{kids}],"outcome":null,"trajectory_id":null'
+                )
+            elif outcome is not None:
+                bodies.append(
+                    f'{{"node_id":{node_id},"kind":"leaf","action_key":null,"action_raw":null'
+                    f',"observation":null,"children":[],"outcome":{outcome}'
+                    f',"trajectory_id":{_string(tid)}'
+                )
             else:
-                kind = f'"action","action_key":{_string(key)},"action_raw":{_string(raw[node_id])}'
-                text = obs[node_id]
-            nodes.append(
-                f'{{"node_id":{node_id},"kind":{kind}'
-                f',"observation":{"null" if text is None else _string(text)}'
-                f',"children":[{",".join(map(str, children))}]'
-                f',"outcome":{"null" if outcome is None else outcome}'
-                f',"trajectory_id":{"null" if outcome is None else _string(tid[node_id])}}}'
-            )
+                bodies.append(
+                    f'{{"node_id":{node_id},"kind":"root","action_key":null,"action_raw":null'
+                    f',"observation":null,"children":[{",".join(map(str, children))}]'
+                    ',"outcome":null,"trajectory_id":null'
+                )
         head = (
             f'{{"instance_id":{_string(tree.instance_id)},"prompt":{_string(tree.prompt)}'
             f',"root_id":{tree.root_id},"path_count":{tree.path_count}'
             f',"trajectory_ids":[{",".join(map(_string, tree.trajectory_ids))}]'
             f',"observation_divergences":{tree.observation_divergences},"nodes":['
         )
-        return head, nodes
+        return head, bodies
 
     @cached_property
     def pair_parts(self) -> list[tuple[str, str, str, str]]:
@@ -305,13 +315,15 @@ class _Run:
 
 
 def _scored_tree_line(run: _Run, inst: _Instance) -> str:
-    """Each node's trees.jsonl JSON with scored_tree_to_dict's columns spliced in."""
-    head, nodes = inst.tree_parts
+    """Each node's trees.jsonl body with scored_tree_to_dict's columns appended,
+    formatted once per distinct (successes, total) of the instance."""
+    head, bodies = inst.tree_parts
     _, successes, totals, _ = inst.mined
-    scored = (
-        f'{node[:-1]},"successes":{s},"total":{n},"score":"{s}/{n}"}}'
-        for node, s, n in zip(nodes, successes, totals)
-    )
+    columns = {
+        (s, n): f',"successes":{s},"total":{n},"score":"{s}/{n}"}}'
+        for s, n in set(zip(successes, totals))
+    }
+    scored = map(add, bodies, map(columns.__getitem__, zip(successes, totals)))
     return head + ",".join(scored) + "]}\n"
 
 
@@ -342,9 +354,9 @@ def _sft_lines(run: _Run, inst: _Instance) -> str:
 # file -> its lines for one instance; each file is these, instance by instance
 _LINES: dict[str, Callable[[_Run, _Instance], str]] = {
     "retained.jsonl": lambda run, inst: "".join(serialize_trajectory(t) + "\n" for t in inst.ts),
-    "trees.jsonl": lambda run, inst: inst.tree_parts[0] + ",".join(inst.tree_parts[1]) + "]}\n",
+    "trees.jsonl": lambda run, inst: inst.tree_parts[0] + "},".join(inst.tree_parts[1]) + "}]}\n",
     "scored_trees.jsonl": _scored_tree_line,
-    "pairs.jsonl": lambda run, inst: "".join(piece for part in inst.pair_parts for piece in part),
+    "pairs.jsonl": lambda run, inst: "".join(chain.from_iterable(inst.pair_parts)),
     "sft.jsonl": _sft_lines,
     "dpo.jsonl": lambda run, inst: "".join(
         piece for head, _, context, tail in inst.pair_parts for piece in (head, context, tail)
@@ -549,7 +561,7 @@ def cmd_loss(args, config) -> None:
                 except (
                     ConfigError, InputError, TypeError, ValueError, OverflowError, RecursionError,
                 ) as exc:
-                    raise InputError(str(exc), line=line_no) from exc
+                    raise InputError(_reason(exc), line=line_no) from exc
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
     text = "".join(lines_out)

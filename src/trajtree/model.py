@@ -32,12 +32,42 @@ def _int(text: str) -> int:
 # on output; rejecting them at parse keeps them out of every output file
 _decode = json.JSONDecoder(parse_constant=_finite, parse_float=_finite, parse_int=_int).decode
 
-# one compact encoder for the corpus and every JSON-lines file; json.dumps
-# with keyword arguments would build a new encoder per record. It raises
-# ValueError on NaN and the infinities, so no output line holds them.
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
-# the string encoding that encoder uses (ensure_ascii=False)
+
+def _reason(exc: BaseException) -> str:
+    """The message of a failed read: `exc`'s own, except for text that starts with
+    a byte-order mark, which `_decode` fails at its first character without naming it."""
+    if isinstance(exc, json.JSONDecodeError) and exc.pos == 0 and exc.doc.startswith("\ufeff"):
+        return "text starts with a UTF-8 byte-order mark (BOM); save the file without one"
+    return str(exc)
+
+
+# the string encoding of the compact encoder (ensure_ascii=False)
 _string = json.encoder.encode_basestring
+# the compact encoder of the corpus and every JSON-lines file: the C encoder that
+# JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
+# builds on every call, here built once and reused. NaN, the infinities (so no
+# output line holds them) and a container met again inside itself raise ValueError.
+_default = json.JSONEncoder().default
+# the encoders not in use, each with the dict of container ids it marks; no two
+# calls share one, so a call made while another thread or an outer call holds
+# every one builds one more
+_encoders: list[tuple[dict[int, Any], Any]] = []
+
+
+def _encode(value: Any) -> str:
+    try:
+        markers, encoder = _encoders.pop()
+    except IndexError:
+        markers = {}
+        encoder = json.encoder.c_make_encoder(  # indent, separators, sort_keys, skipkeys, allow_nan
+            markers, _default, _string, None, ":", ",", False, False, False
+        )
+    try:
+        return "".join(encoder(value, 0))  # one string, or (Python 3.10) its chunks
+    finally:
+        markers.clear()  # a failed call leaves its containers marked
+        _encoders.append((markers, encoder))
+
 
 # Top-level corpus fields; anything else is folded into meta on parse.
 _KNOWN_FIELDS = {"instance_id", "trajectory_id", "prompt", "steps", "resolved", "meta"}
@@ -233,7 +263,7 @@ def iter_trajectories(
         # too long to convert; RecursionError: nesting deeper than the decoder follows
         except (ValueError, RecursionError, InputError) as exc:
             if strict:
-                raise InputError(str(exc), line=line_no) from exc
+                raise InputError(_reason(exc), line=line_no) from exc
             t = None
         yield t
 

@@ -17,14 +17,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trajtree import cli, errors, ingest, model, pipeline, scoring
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
 from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, emit_stats, sft_to_dict
 from trajtree.errors import InputError
 from trajtree.ingest import group_by_instance, ingest_trajectories
-from trajtree.model import Step, Trajectory, parse_trajectory_stream, serialize_trajectory
+from trajtree.model import (
+    CanonConfig, Step, Trajectory, parse_trajectory_stream, serialize_trajectory,
+)
 from trajtree.pipeline import StageConfig, process_instances
 from trajtree.scoring import pair_to_dict, scored_tree_to_dict
 from trajtree.synth import SynthConfig, generate
@@ -670,38 +672,47 @@ class TestSplicedRenderers:
     dict exports' bytes."""
 
     @given(awkward_corpora(), st.sampled_from(["1/4", "1/2", "2/3"]))
+    # raw actions that differ from their keys under both configs (" a"), under
+    # collapse_whitespace only ("b  c"), and under neither ("d")
+    @example([
+        make_traj("t0", [(" a", "x"), ("b  c", None)], 1, instance_id="i"),
+        make_traj("t1", [("a", "y"), ("b c", "z")], 0, instance_id="i"),
+        make_traj("t2", [("a", "x"), ("d", None)], 1, instance_id="i"),
+    ], "1/4")
     @settings(max_examples=150, deadline=None)
     def test_match_dict_exports(self, ts, threshold):
         groups = group_by_instance(ts)
         grouped = [t for group in groups.values() for t in group]
-        for strict_merge in (False, True):
-            for pair_mode in ("all-pairs", "max-min"):
-                stage = StageConfig(
-                    strict_merge=strict_merge,
-                    critical_threshold=Fraction(threshold),
-                    pair_mode=pair_mode,
-                )
-                results = process_instances(groups, stage).values()
-                pairs = [p for r in results for p in r.pairs]
-                expected = {
-                    "trees.jsonl": jsonl([tree_to_dict(r.tree) for r in results]),
-                    "scored_trees.jsonl": jsonl(
-                        [scored_tree_to_dict(r.tree, r.scores) for r in results]
-                    ),
-                    "pairs.jsonl": jsonl([pair_to_dict(p) for p in pairs]),
-                    "dpo.jsonl": jsonl([dpo_to_dict(e) for e in emit_dpo(pairs)]),
-                    "retained.jsonl": "".join(corpus_line_reference(t) + "\n" for t in grouped),
-                    "sft.jsonl": jsonl([sft_to_dict(e) for e in emit_sft(grouped)[0]]),
-                }
-                # as the CLI does: every file's lines from one _Instance per instance
-                run = cli._Run({}, None)
-                got = dict.fromkeys(expected, "")
-                for instance_id, instance_ts in groups.items():
-                    inst = cli._Instance(instance_id, instance_ts, stage)
-                    for name in expected:
-                        got[name] += cli._LINES[name](run, inst)
-                for name, text in expected.items():
-                    assert got[name] == text, (name, strict_merge, pair_mode)
+        for strict_merge, pair_mode, collapse_whitespace in itertools.product(
+            (False, True), ("all-pairs", "max-min"), (True, False)
+        ):
+            stage = StageConfig(
+                canon=CanonConfig(collapse_whitespace=collapse_whitespace),
+                strict_merge=strict_merge,
+                critical_threshold=Fraction(threshold),
+                pair_mode=pair_mode,
+            )
+            results = process_instances(groups, stage).values()
+            pairs = [p for r in results for p in r.pairs]
+            expected = {
+                "trees.jsonl": jsonl([tree_to_dict(r.tree) for r in results]),
+                "scored_trees.jsonl": jsonl(
+                    [scored_tree_to_dict(r.tree, r.scores) for r in results]
+                ),
+                "pairs.jsonl": jsonl([pair_to_dict(p) for p in pairs]),
+                "dpo.jsonl": jsonl([dpo_to_dict(e) for e in emit_dpo(pairs)]),
+                "retained.jsonl": "".join(corpus_line_reference(t) + "\n" for t in grouped),
+                "sft.jsonl": jsonl([sft_to_dict(e) for e in emit_sft(grouped)[0]]),
+            }
+            # as the CLI does: every file's lines from one _Instance per instance
+            run = cli._Run({}, None)
+            got = dict.fromkeys(expected, "")
+            for instance_id, instance_ts in groups.items():
+                inst = cli._Instance(instance_id, instance_ts, stage)
+                for name in expected:
+                    got[name] += cli._LINES[name](run, inst)
+            for name, text in expected.items():
+                assert got[name] == text, (name, strict_merge, pair_mode, collapse_whitespace)
 
     @given(
         st.dictionaries(st.text(max_size=6) | awkward_text, json_values, max_size=4),
@@ -1090,6 +1101,45 @@ def test_every_json_input_reads_numbers_one_way(number, message, corpus_path, tm
         assert captured.out == "", argv
         assert captured.err == f"error: {err}{message}\n", argv
     assert list((tmp_path / "o").iterdir()) == []
+
+
+BOM = b"\xef\xbb\xbf"  # a UTF-8 byte-order mark, as some editors start a file
+BOM_MESSAGE = "text starts with a UTF-8 byte-order mark (BOM); save the file without one"
+
+
+class TestByteOrderMark:
+    """A file that starts with a byte-order mark fails with a message that
+    names it, and no Python codec, under the input's own exit status."""
+
+    def test_config(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(BOM + b'{"seed": 1}')
+        out = tmp_path / "o"
+        argv = ["--config", str(cfg), "all", "--input", str(corpus_path), "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot read config {cfg}: {BOM_MESSAGE}\n"
+        assert not out.exists()
+
+    def test_corpus(self, corpus_path, tmp_path, capsys):
+        corpus = tmp_path / "bom.jsonl"
+        corpus.write_bytes(BOM + corpus_path.read_bytes())
+        out = tmp_path / "o"
+        assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {BOM_MESSAGE}\n"
+        assert list(out.iterdir()) == []
+        # lenient: the marked first line is one malformed line, skipped
+        assert main(["all", "--lenient", "--input", str(corpus), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+        assert report["malformed_skipped"] == 1
+        assert report["input_count"] == len(corpus_path.read_text(encoding="utf-8").splitlines()) - 1
+
+    def test_loss(self, tmp_path, capsys):
+        records = tmp_path / "loss.jsonl"
+        records.write_bytes(BOM + b'{"kind": "sft", "action_logps": [-1.0]}\n')
+        assert main(["loss", "--input", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: {BOM_MESSAGE}\n"
 
 
 def json_bytes(documents):

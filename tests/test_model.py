@@ -2,6 +2,8 @@ import io
 import json
 import re
 import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -12,6 +14,7 @@ from trajtree.model import (
     CanonConfig,
     Step,
     Trajectory,
+    _encode,
     canonicalize_action,
     iter_trajectories,
     parse_trajectory_stream,
@@ -38,6 +41,95 @@ WHITESPACE = (
     "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
     "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
+
+
+# the encoder _encode is built as, made anew for each call
+REFERENCE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def self_containing() -> list:
+    cycle: list = []
+    cycle.append(cycle)
+    return cycle
+
+
+class TestEncoder:
+    @given(json_values)
+    @settings(max_examples=300)
+    def test_writes_what_the_reference_encoder_writes(self, value):
+        assert _encode(value) == REFERENCE.encode(value)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("-inf"), {1, 2}, self_containing(), {"x": [float("inf")]},
+    ], ids=["nan", "minus_infinity", "set", "self_containing", "nested_infinity"])
+    def test_raises_what_the_reference_encoder_raises(self, value):
+        with pytest.raises(Exception) as expected:
+            REFERENCE.encode(value)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            _encode(value)
+
+    def test_a_failed_call_leaves_no_marker(self):
+        cycle = self_containing()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                _encode(cycle)
+        assert _encode([[1], [2, [3]]]) == "[[1],[2,[3]]]"
+        cycle[0] = [1]  # the same list, no longer in a cycle
+        assert _encode(cycle) == "[[1]]"
+        unencodable = [[{1}]]
+        with pytest.raises(TypeError):
+            _encode(unencodable)
+        unencodable[0][0] = 1
+        assert _encode(unencodable) == "[[1]]"
+
+    def test_a_call_made_during_a_call_keeps_its_markers(self):
+        # a dict subclass's items() runs while its container is marked; a call
+        # made there, as another thread's could be, must not clear that mark
+        class EncodesOnItems(dict):
+            def items(self):
+                assert _encode([[1]]) == "[[1]]"
+                return super().items()
+
+        assert _encode([EncodesOnItems(x=[2])]) == REFERENCE.encode([{"x": [2]}])
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            _encode(self_containing())
+
+    def test_threads_share_no_markers(self):
+        # each thread's items() yields the interpreter lock mid-call, so calls
+        # overlap; a call that cleared another's marks would raise KeyError
+        class Yields(dict):
+            def items(self):
+                time.sleep(0)
+                return super().items()
+
+        value, expected = [Yields(x=[1, Yields(y=[2])])], '[{"x":[1,{"y":[2]}]}]'
+        got: list[str] = []
+
+        def work():
+            for _ in range(300):
+                got.append(_encode(value))
+                with pytest.raises(ValueError, match="^Circular reference detected$"):
+                    _encode(self_containing())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [expected] * 2400
 
 
 class TestCanonicalize:

@@ -219,6 +219,22 @@ def test_one_json_reader_and_no_umask_or_tempfile():
     assert found == []
 
 
+def test_no_encoder_is_built_per_call():
+    # a JSONEncoder built inside a function is built on every call; the
+    # compact encoder behind model._encode is built once and reused
+    built = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "trajtree").glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and "JSONEncoder" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        )
+    ]
+    assert built == []
+
+
 # loaded only by `synth`/`selfcheck` (hashlib with it) and `loss`
 HEAVY = ("hashlib", "_hashlib", "trajtree.synth", "trajtree.losses")
 # loaded by no command: dataclasses imports inspect, and with it ast, dis and tokenize
