@@ -32,7 +32,7 @@ from .ingest import (
     ingest_trajectories,
 )
 from .model import (
-    CanonConfig, Trajectory, _decode, _encode, _reason, _string, iter_trajectories,
+    CanonConfig, Trajectory, _decode, _encode, _json_lines, _reason, _string, iter_trajectories,
     serialize_trajectory,
 )
 from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
@@ -527,7 +527,7 @@ def _numbers(value: Any, name: str) -> tuple[int | float, ...]:
 def cmd_loss(args, config) -> None:
     from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
 
-    def loss_record(obj: Any) -> dict[str, Any]:
+    def loss_result(obj: Any) -> dict[str, Any]:
         """One record's result; every log-prob and beta must be a JSON number."""
         if not isinstance(obj, dict):
             raise InputError("loss record is not an object")
@@ -544,27 +544,23 @@ def cmd_loss(args, config) -> None:
             return {"kind": "dpo", "loss": dpo_loss(x), "grad": dpo_loss_grad(x)._asdict()}
         raise InputError(f"loss record kind must be 'sft' or 'dpo', got {kind!r}")
 
-    lines_out = []
+    def loss_record(obj: Any) -> str:
+        """One record's result line; each error the line loop does not catch reads as InputError."""
+        try:
+            # a non-finite result fails to encode (ValueError), never reads `Infinity`
+            return _encode(loss_result(obj)) + "\n"
+        except KeyError as exc:  # only a record's own fields are looked up
+            raise InputError(f"missing field {exc.args[0]!r}") from exc
+        # ConfigError: the record's own beta or reduction is invalid
+        except (ConfigError, TypeError, OverflowError) as exc:
+            raise InputError(str(exc)) from exc
+
     try:
+        # numbers and lines read as in a corpus, each line's error raised with its number
         with open(args.input, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
-                    if not line.strip():
-                        continue
-                    # numbers read as in a corpus line; a non-finite result
-                    # is an error, never `Infinity`
-                    lines_out.append(_encode(loss_record(_decode(line))) + "\n")
-                except KeyError as exc:  # only a record's own fields are looked up
-                    raise InputError(f"missing field {exc.args[0]!r}", line=line_no) from exc
-                # ConfigError: the record's own beta or reduction is invalid
-                except (
-                    ConfigError, InputError, TypeError, ValueError, OverflowError, RecursionError,
-                ) as exc:
-                    raise InputError(_reason(exc), line=line_no) from exc
+            text = "".join(_json_lines(fh, loss_record, strict=True))
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
-    text = "".join(lines_out)
     if args.output:
         atomic_write(Path(args.output), text)
     else:

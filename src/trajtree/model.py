@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Any, Iterable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -41,32 +41,22 @@ def _reason(exc: BaseException) -> str:
     return str(exc)
 
 
-# the string encoding of the compact encoder (ensure_ascii=False)
+# the string encoding of the compact encoder (ensure_ascii=False), and its
+# fallback for a value of no JSON type (a set, say), which raises TypeError
 _string = json.encoder.encode_basestring
-# the compact encoder of the corpus and every JSON-lines file: the C encoder that
-# JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
-# builds on every call, here built once and reused. NaN, the infinities (so no
-# output line holds them) and a container met again inside itself raise ValueError.
 _default = json.JSONEncoder().default
-# the encoders not in use, each with the dict of container ids it marks; no two
-# calls share one, so a call made while another thread or an outer call holds
-# every one builds one more
-_encoders: list[tuple[dict[int, Any], Any]] = []
 
 
 def _encode(value: Any) -> str:
-    try:
-        markers, encoder = _encoders.pop()
-    except IndexError:
-        markers = {}
-        encoder = json.encoder.c_make_encoder(  # indent, separators, sort_keys, skipkeys, allow_nan
-            markers, _default, _string, None, ":", ",", False, False, False
-        )
-    try:
-        return "".join(encoder(value, 0))  # one string, or (Python 3.10) its chunks
-    finally:
-        markers.clear()  # a failed call leaves its containers marked
-        _encoders.append((markers, encoder))
+    """The compact encoding of the corpus and every JSON-lines file: the C encoder
+    that JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
+    builds, built for this call alone, so overlapping calls (threads, nested calls)
+    share no markers. NaN, the infinities (so no output line holds them) and a
+    container met again inside itself raise ValueError."""
+    encoder = json.encoder.c_make_encoder(  # indent, separators, sort_keys, skipkeys, allow_nan
+        {}, _default, _string, None, ":", ",", False, False, False
+    )
+    return "".join(encoder(value, 0))  # one string, or (Python 3.10) its chunks
 
 
 # Top-level corpus fields; anything else is folded into meta on parse.
@@ -239,6 +229,28 @@ def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:
     return t
 
 
+def _json_lines(
+    source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[Any], Any], strict: bool,
+) -> Iterator[Any]:
+    """`parse` of each JSON line of `source`, lazily and in order. Lines are UTF-8
+    and numbered from 1; blank lines yield nothing. A line whose text, JSON or
+    `parse` fails raises InputError naming the line in strict mode, else yields None."""
+    for line_no, line in enumerate(source, start=1):
+        try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            value = parse(_decode(line))
+        # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer
+        # too long to convert; RecursionError: nesting deeper than the decoder follows
+        except (ValueError, RecursionError, InputError) as exc:
+            if strict:
+                raise InputError(_reason(exc), line=line_no) from exc
+            value = None
+        yield value
+
+
 def iter_trajectories(
     source: IO[bytes] | IO[str] | Iterable[str],
     strict: bool = True,
@@ -252,20 +264,7 @@ def iter_trajectories(
     trajectory's action_keys for `canon` are filled as it is parsed, so later
     stages never canonicalize again; nothing of a yielded record is kept.
     """
-    for line_no, line in enumerate(source, start=1):
-        try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            if not line.strip():
-                continue
-            t = _parse_record(_decode(line), canon)
-        # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer
-        # too long to convert; RecursionError: nesting deeper than the decoder follows
-        except (ValueError, RecursionError, InputError) as exc:
-            if strict:
-                raise InputError(_reason(exc), line=line_no) from exc
-            t = None
-        yield t
+    return _json_lines(source, lambda obj: _parse_record(obj, canon), strict)
 
 
 def parse_trajectory_stream(

@@ -94,24 +94,33 @@ class TestExitCodes:
     def test_bad_config_value(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cases = [
-            (None, ["--loop-threshold", "1"]),
-            ('{"loop_threshold": "x"}', []),
-            ('{"outlier_min_prefix": "x"}', []),
-            ('{"jobs": "x"}', []),
-            ('{"jobs": null}', []),
-            ('{"critical_threshold": Infinity}', []),
+            (None, ["--loop-threshold", "1"], "loop_threshold must be >= 2"),
+            ('{"loop_threshold": "x"}', [], "loop_threshold must be an integer: 'x'"),
+            ('{"outlier_min_prefix": "x"}', [], "outlier_min_prefix must be an integer: 'x'"),
+            ('{"jobs": "x"}', [], "jobs must be an integer: 'x'"),
+            ('{"jobs": null}', [], "jobs must be an integer: None"),
+            ('{"critical_threshold": Infinity}', [],
+             f"cannot read config {cfg}: non-finite number Infinity"),
             # booleans must be JSON booleans, integers JSON integers (not booleans)
-            ('{"lenient": "false"}', []),
-            ('{"collapse_whitespace": "no"}', []),
-            ('{"collapse_whitespace": 1}', []),
-            ('{"loop_threshold": 3.9}', []),
-            ('{"loop_threshold": "4"}', []),
-            ('{"outlier_min_prefix": true}', []),
-            ('{"jobs": true}', []),
-            ('{"seed": 1.5}', []),
-            ('{"seed": "1"}', []),
+            ('{"lenient": "false"}', [], "lenient must be true or false: 'false'"),
+            ('{"collapse_whitespace": "no"}', [],
+             "collapse_whitespace must be true or false: 'no'"),
+            ('{"collapse_whitespace": 1}', [], "collapse_whitespace must be true or false: 1"),
+            ('{"loop_threshold": 3.9}', [], "loop_threshold must be an integer: 3.9"),
+            ('{"loop_threshold": "4"}', [], "loop_threshold must be an integer: '4'"),
+            ('{"outlier_min_prefix": true}', [], "outlier_min_prefix must be an integer: True"),
+            ('{"jobs": true}', [], "jobs must be an integer: True"),
+            ('{"seed": 1.5}', [], "seed must be an integer: 1.5"),
+            ('{"seed": "1"}', [], "seed must be an integer: '1'"),
+            ("[1]", [], "config file must hold a JSON object"),
+            # a choice outside its set, a threshold outside the open unit interval
+            (None, ["--merge-mode", "x"], "merge_mode must be action-only or strict: 'x'"),
+            (None, ["--pair-mode", "y"], "pair_mode must be all-pairs or max-min: 'y'"),
+            (None, ["--sft-reduction", "y"], "sft_reduction must be sum or mean: 'y'"),
+            (None, ["--critical-threshold", "2"], "critical_threshold must be in (0, 1): 2"),
+            (None, ["--critical-threshold", "0"], "critical_threshold must be in (0, 1): 0"),
         ]
-        for config_text, flags in cases:
+        for config_text, flags, message in cases:
             config_args = []
             if config_text is not None:
                 cfg.write_text(config_text, encoding="utf-8")
@@ -122,7 +131,7 @@ class TestExitCodes:
                 *flags,
             ])
             assert code == 1, (config_text, flags)
-            assert capsys.readouterr().err.startswith("error: "), (config_text, flags)
+            assert capsys.readouterr().err == f"error: {message}\n", (config_text, flags)
 
     @pytest.mark.parametrize("threshold", ["1e-5000", "1e-100000"])
     def test_threshold_beyond_the_digit_limit_exits_1(
@@ -253,20 +262,27 @@ class TestExitCodes:
     def test_lone_surrogate_strict_exits_2(self, tmp_path, corpus_path, capsys):
         bad = tmp_path / "bad.jsonl"
         text = corpus_path.read_bytes()
-        for bad_text in (
-            text.replace(b'"test"', b'"a\\ud800"'),
-            *(text.replace(b'"meta":{}', b'"meta":{"x":%s}' % n, 1) for n in self.NON_FINITE),
+        for bad_text, message in (
+            (text.replace(b'"test"', b'"a\\ud800"'), "step 2 action holds a lone surrogate"),
+            (text.replace(O_SEARCH.encode(), b"\\ud800", 1),
+             "step 0 observation holds a lone surrogate"),
+            (text.replace(b'"meta":{}', b'"meta":{"x":"\\ud800"}', 1),
+             "meta holds a lone surrogate"),
+            *((text.replace(b'"meta":{}', b'"meta":{"x":%s}' % n, 1),
+               f"non-finite number {n.decode()}") for n in self.NON_FINITE),
         ):
             bad.write_bytes(bad_text)
             code = main(["all", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
             assert code == 2, bad_text[:60]
-            assert "line 1" in capsys.readouterr().err, bad_text[:60]
+            assert capsys.readouterr().err == f"error: line 1: {message}\n", bad_text[:60]
 
     def test_lone_surrogate_lenient_is_skipped(self, tmp_path, corpus_path):
         bad = tmp_path / "bad.jsonl"
         valid = serialize_trajectory(make_traj("t0", [("search", None)], 1)).encode()
         for bad_line in (
             valid.replace(b'"action":"search"', b'"action":"a\\ud800"'),
+            valid.replace(b'"action":"search"', b'"action":"search","observation":"\\ud800"'),
+            valid.replace(b'"meta":{}', b'"meta":{"x":"\\ud800"}'),
             *(valid.replace(b'"meta":{}', b'"meta":{"x":%s}' % n) for n in self.NON_FINITE),
         ):
             bad.write_bytes(bad_line + b"\n" + corpus_path.read_bytes())
@@ -277,6 +293,17 @@ class TestExitCodes:
             assert report["retained"] == 3, bad_line
             retained = (out / "retained.jsonl").read_bytes()
             assert b"NaN" not in retained and b"Infinity" not in retained, bad_line
+
+    def test_input_that_cannot_be_opened_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        reason = f"[Errno 2] No such file or directory: '{missing}'"
+        out = tmp_path / "o"
+        assert main(["all", "--input", str(missing), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read corpus {missing}: {reason}\n"
+        assert not out.exists()
+        assert main(["loss", "--input", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: cannot read {missing}: {reason}\n")
 
     def test_blank_action_after_cached_actions(self, tmp_path, corpus_path, capsys):
         # the parse memoizes action keys; a blank action is still an error on
@@ -1140,6 +1167,26 @@ class TestByteOrderMark:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: line 1: {BOM_MESSAGE}\n"
+
+
+@pytest.mark.parametrize("fault", [b"\xff\xfe", b"[" * 100000, BOM + b"{}"],
+                         ids=["not_utf8", "too_deep", "bom"])
+def test_corpus_and_loss_lines_fail_alike(fault, tmp_path, capsys):
+    # both files are read by one line loop: a blank first line is skipped but
+    # counted, and the same faulty second line fails with the same words
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b"\n" + fault + b"\n")
+    errs = []
+    for argv in (["all", "--input", str(path), "--out-dir", str(tmp_path / "o")],
+                 ["loss", "--input", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: line 2: ")
+    if fault.startswith(BOM):
+        assert errs[0] == f"error: line 2: {BOM_MESSAGE}\n"
 
 
 def json_bytes(documents):

@@ -219,9 +219,31 @@ def test_one_json_reader_and_no_umask_or_tempfile():
     assert found == []
 
 
+def test_decode_is_called_only_by_the_line_loop_config_and_meta():
+    # every JSON-lines input (corpus and loss records) is read by the one line
+    # loop, model._json_lines; the config file and meta's read-back check are
+    # the only other text decoded
+    def callers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from callers(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "_decode" in (
+                getattr(child.func, "attr", None), getattr(child.func, "id", None)
+            ):
+                yield scope
+            yield from callers(child, scope)
+
+    found = {
+        caller for path in sorted((SRC / "trajtree").glob("*.py"))
+        for caller in callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == {"model._json_lines", "model.Trajectory.__init__", "cli.load_config"}
+
+
 def test_no_encoder_is_built_per_call():
-    # a JSONEncoder built inside a function is built on every call; the
-    # compact encoder behind model._encode is built once and reused
+    # a JSONEncoder built inside a function is built on every call; model._encode
+    # builds only the C encoder that JSONEncoder.encode would build for the call
     built = [
         f"{path.name}:{node.lineno}"
         for path in sorted((SRC / "trajtree").glob("*.py"))

@@ -385,9 +385,17 @@ class TestSynthFiles:
 
     def test_bad_config_makes_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["synth", "--depth", "0", "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        for flags, message in (
+            (["--depth", "0"], "depth must be >= 1"),
+            (["--instances", "-1"], "counts must be >= 0"),
+            (["--branching", "0"], "branching must be >= 1"),
+        ):
+            assert main(["synth", *flags, "--out-dir", str(out)]) == 1, flags
+            assert capsys.readouterr().err == f"error: {message}\n", flags
+            assert not out.exists(), flags
+            assert main(["selfcheck", *flags]) == 1, flags
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n"), flags
 
 
 def assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:
