@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import os
 import sys
@@ -415,6 +416,14 @@ def _runs(
         yield ts
 
 
+def _corpus_lines(fh: Iterable[bytes], path: str) -> Iterator[bytes]:
+    """`fh`'s lines; a failed read is an input error, as a failed open is."""
+    try:
+        yield from fh
+    except OSError as exc:
+        raise InputError(f"cannot read corpus {path}: {exc}") from exc
+
+
 def _write(
     run: _Run, files: dict[str, TextIO], runs: Iterable[list[Trajectory]], stage: StageConfig
 ) -> None:
@@ -440,9 +449,8 @@ def cmd_pipeline(args, config) -> None:
     to every file, before the next run is read. A malformed line fails the
     pass that meets it. If an instance id comes back after another
     instance began, or a run fails, the files are dropped and the whole
-    corpus is cleaned as one run (as is an input that cannot be read
-    twice), which gives the whole-corpus instance order and error. The
-    files are committed together.
+    corpus is cleaned as one run, which gives the whole-corpus instance
+    order and error. The files are committed together.
     """
     names = COMMAND_OUTPUTS[args.command]
     stage = stage_config(config)
@@ -453,27 +461,28 @@ def cmd_pipeline(args, config) -> None:
         raise InputError(f"cannot read corpus {args.input}: {exc}") from exc
 
     def attempt(streamed: bool) -> _Run:
+        fh.seek(0)
         run = _Run(config, IngestReport() if "retained.jsonl" in names else None)
         with output_files(Path(args.out_dir), names) as files:
-            _write(run, files, _runs(run, fh, strict, stage.canon, streamed), stage)
+            lines = _corpus_lines(fh, args.input)
+            _write(run, files, _runs(run, lines, strict, stage.canon, streamed), stage)
             for name, doc in files.items():
                 if name in _DOCS:
                     doc.write(_DOCS[name](run))
         return run
 
     with fh:
-        run = None
-        if fh.seekable():
-            try:
-                run = attempt(streamed=True)
-            # a malformed line met here is the corpus's first, as no run before
-            # it failed: the whole-corpus pass would raise it too. A prompt
-            # conflict later on outranks a run's error; the rerun raises it
-            except (_Restart, InputError, InvariantError) as exc:
-                if isinstance(exc, InputError) and exc.line is not None:
-                    raise
-                fh.seek(0)
-        if run is None:
+        if not fh.seekable():  # a pipe: read once, then seeked as a file is
+            pipe, fh = fh, io.BytesIO()
+            fh.writelines(_corpus_lines(pipe, args.input))
+        try:
+            run = attempt(streamed=True)
+        # a malformed line met here is the corpus's first, as no run before
+        # it failed: the whole-corpus pass would raise it too. A prompt
+        # conflict later on outranks a run's error; the rerun raises it
+        except (_Restart, InputError, InvariantError) as exc:
+            if isinstance(exc, InputError) and exc.line is not None:
+                raise
             run = attempt(streamed=False)
     if "sft.jsonl" in names and run.instances and not run.sft_examples:
         print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)

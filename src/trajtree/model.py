@@ -233,13 +233,14 @@ def _json_lines(
     source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[Any], Any], strict: bool,
 ) -> Iterator[Any]:
     """`parse` of each JSON line of `source`, lazily and in order. Lines are UTF-8
-    and numbered from 1; blank lines yield nothing. A line whose text, JSON or
-    `parse` fails raises InputError naming the line in strict mode, else yields None."""
+    and numbered from 1; a blank line, one of only the decoder's whitespace
+    (space, tab, CR, LF), yields nothing. A line whose text, JSON or `parse`
+    fails raises InputError naming the line in strict mode, else yields None."""
     for line_no, line in enumerate(source, start=1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
-            if not line.strip():
+            if not line.strip(" \t\r\n"):  # str.strip() would also drop \x1c or \u3000
                 continue
             value = parse(_decode(line))
         # ValueError: not UTF-8 or not JSON, a non-finite number, or an integer

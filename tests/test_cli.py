@@ -1,4 +1,5 @@
 import argparse
+import errno
 import gc
 import hashlib
 import io
@@ -12,9 +13,10 @@ import sys
 import tempfile
 import threading
 import weakref
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -304,6 +306,25 @@ class TestExitCodes:
         assert main(["loss", "--input", str(missing)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: cannot read {missing}: {reason}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
+    def test_corpus_that_fails_mid_read_exits_2(self, corpus_path, tmp_path, monkeypatch, capsys):
+        # /proc/self/mem opens, but reading its first page fails with EIO
+        out = tmp_path / "o"
+        assert main(["all", "--input", "/proc/self/mem", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read corpus /proc/self/mem: [Errno 5] Input/output error\n"
+        )
+        assert list(out.iterdir()) == []
+
+        def full(run, inst):  # a failed write is still an output error, exit 1
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setitem(cli._LINES, "trees.jsonl", full)
+        assert main(["all", "--input", str(corpus_path), "--out-dir", str(out)]) == 1
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert list(out.iterdir()) == []
 
     def test_blank_action_after_cached_actions(self, tmp_path, corpus_path, capsys):
         # the parse memoizes action keys; a blank action is still an error on
@@ -1169,13 +1190,16 @@ class TestByteOrderMark:
         assert captured.err == f"error: line 1: {BOM_MESSAGE}\n"
 
 
-@pytest.mark.parametrize("fault", [b"\xff\xfe", b"[" * 100000, BOM + b"{}"],
-                         ids=["not_utf8", "too_deep", "bom"])
+@pytest.mark.parametrize(
+    "fault", [b"\xff\xfe", b"[" * 100000, BOM + b"{}", b"\x1c", "\u3000".encode()],
+    ids=["not_utf8", "too_deep", "bom", "x1c", "u3000"],
+)
 def test_corpus_and_loss_lines_fail_alike(fault, tmp_path, capsys):
-    # both files are read by one line loop: a blank first line is skipped but
-    # counted, and the same faulty second line fails with the same words
+    # both files are read by one line loop: a blank first line (only space, tab,
+    # CR and LF) is skipped but counted, and the same faulty second line fails
+    # with the same words
     path = tmp_path / "in.jsonl"
-    path.write_bytes(b"\n" + fault + b"\n")
+    path.write_bytes(b" \t\r\n" + fault + b"\n")
     errs = []
     for argv in (["all", "--input", str(path), "--out-dir", str(tmp_path / "o")],
                  ["loss", "--input", str(path)]):
@@ -1187,6 +1211,13 @@ def test_corpus_and_loss_lines_fail_alike(fault, tmp_path, capsys):
     assert errs[0].startswith("error: line 2: ")
     if fault.startswith(BOM):
         assert errs[0] == f"error: line 2: {BOM_MESSAGE}\n"
+    if fault in (b"\x1c", "\u3000".encode()):  # whitespace to str.strip, not to JSON
+        assert errs[0] == "error: line 2: Expecting value: line 1 column 1 (char 0)\n"
+    # lenient: the faulty line is counted as skipped, the blank one is not
+    out = tmp_path / "lenient"
+    assert main(["all", "--lenient", "--input", str(path), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+    assert report["malformed_skipped"] == 1 and report["input_count"] == 0
 
 
 def json_bytes(documents):
@@ -1394,6 +1425,14 @@ class TestStreaming:
 
 
     def test_only_the_current_instance_is_alive(self, tmp_path, monkeypatch):
+        self.check_only_the_current_instance_is_alive(tmp_path, monkeypatch, piped=False)
+
+    def test_only_the_current_instance_is_alive_through_a_fifo(self, tmp_path, monkeypatch):
+        # a pipe is read once into memory as bytes, then streamed as a file is
+        self.check_only_the_current_instance_is_alive(tmp_path, monkeypatch, piped=True)
+
+    @staticmethod
+    def check_only_the_current_instance_is_alive(tmp_path, monkeypatch, piped):
         synth_dir = tmp_path / "synth"
         assert main(["synth", "--seed", "5", "--instances", "8", "--out-dir", str(synth_dir)]) == 0
         corpus = synth_dir / "corpus.jsonl"
@@ -1424,8 +1463,30 @@ class TestStreaming:
         monkeypatch.setattr(model, "_parse_record", parsing)
         monkeypatch.setattr(pipeline, "build_tree", building)
         out = tmp_path / "out"
-        assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 0
+        with _piped(corpus) if piped else nullcontext(corpus) as source:
+            assert main(["all", "--input", str(source), "--out-dir", str(out)]) == 0
         assert len(others) == len((out / "trees.jsonl").read_text().splitlines()) == 8
+
+
+@contextmanager
+def _piped(corpus: Path) -> Iterator[Path]:
+    """A FIFO beside `corpus` that a thread writes `corpus`'s bytes to, once;
+    the block must read them all."""
+    fifo = corpus.with_suffix(".fifo")
+    if not fifo.exists():
+        os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),), daemon=True)
+    writer.start()
+    yield fifo
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def _file_then_fifo(corpus: Path) -> Iterator[Path]:
+    """`corpus`, then a FIFO that gives its bytes (see `_piped`)."""
+    yield corpus
+    with _piped(corpus) as fifo:
+        yield fifo
 
 
 def _write_corpus(path: Path, records: list) -> Path:
@@ -1471,13 +1532,8 @@ class TestStreamedFallback:
 
     def test_unseekable_input_reads_once(self, tmp_path):
         corpus = _interleaved(tmp_path)
-        fifo = tmp_path / "corpus.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),), daemon=True)
-        writer.start()
-        assert main(["all", "--input", str(fifo), "--out-dir", str(tmp_path / "fifo")]) == 0
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        with _piped(corpus) as fifo:
+            assert main(["all", "--input", str(fifo), "--out-dir", str(tmp_path / "fifo")]) == 0
         assert main(["all", "--input", str(corpus), "--out-dir", str(tmp_path / "file")]) == 0
         assert read_outputs(tmp_path / "fifo") == read_outputs(tmp_path / "file")
 
@@ -1490,10 +1546,13 @@ class TestStreamedFallback:
             "not json",
         ])
         for command in ("all", "tree"):
-            out = tmp_path / command
-            assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
-            assert "line 4" in capsys.readouterr().err, command
-            assert not out.exists() or list(out.iterdir()) == [], command
+            out, errs = tmp_path / command, []
+            for source in _file_then_fifo(corpus):
+                argv = [command, "--input", str(source), "--out-dir", str(out)]
+                assert main(argv) == 2, argv
+                errs.append(capsys.readouterr().err)
+                assert not out.exists() or list(out.iterdir()) == [], argv
+            assert "line 4" in errs[0] and errs[1] == errs[0], command
 
     def test_prompt_conflict_outranks_an_earlier_duplicate_id(self, tmp_path, capsys):
         corpus = _write_corpus(tmp_path / "corpus.jsonl", [
@@ -1503,10 +1562,14 @@ class TestStreamedFallback:
             make_traj("u2", [("edit", None)], 0, instance_id="B", prompt="two"),
         ])
         for command in ("all", "tree"):
-            out = tmp_path / command
-            assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
-            err = capsys.readouterr().err
-            assert "conflicting prompts" in err and "'B'" in err, command
+            out, errs = tmp_path / command, []
+            for source in _file_then_fifo(corpus):
+                argv = [command, "--input", str(source), "--out-dir", str(out)]
+                assert main(argv) == 2, argv
+                errs.append(capsys.readouterr().err)
+                assert not out.exists() or list(out.iterdir()) == [], argv
+            assert "conflicting prompts" in errs[0] and "'B'" in errs[0], command
+            assert errs[1] == errs[0], command
 
     def test_malformed_last_line_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         corpus = _write_corpus(tmp_path / "corpus.jsonl", [
@@ -1524,18 +1587,21 @@ class TestStreamedFallback:
 
         monkeypatch.setattr(model, "_parse_record", counting)
         for command in ("all", "tree"):
-            calls, out = 0, tmp_path / command
-            assert main([command, "--input", str(corpus), "--out-dir", str(out)]) == 2, command
-            assert calls == 3, command
-            assert capsys.readouterr().err == (
-                "error: line 4: Expecting value: line 1 column 1 (char 0)\n"
-            ), command
-            assert not out.exists() or list(out.iterdir()) == [], command
-        calls, out = 0, tmp_path / "lenient"
-        assert main(["all", "--input", str(corpus), "--out-dir", str(out), "--lenient"]) == 0
-        assert calls == 3
-        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
-        assert report["malformed_skipped"] == 1 and report["retained"] == 3
+            for source in _file_then_fifo(corpus):
+                calls, out = 0, tmp_path / command
+                argv = [command, "--input", str(source), "--out-dir", str(out)]
+                assert main(argv) == 2, argv
+                assert calls == 3, argv
+                assert capsys.readouterr().err == (
+                    "error: line 4: Expecting value: line 1 column 1 (char 0)\n"
+                ), argv
+                assert not out.exists() or list(out.iterdir()) == [], argv
+        for source in _file_then_fifo(corpus):
+            calls, out = 0, tmp_path / "lenient" / source.suffix[1:]
+            assert main(["all", "--input", str(source), "--out-dir", str(out), "--lenient"]) == 0
+            assert calls == 3, source
+            report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+            assert report["malformed_skipped"] == 1 and report["retained"] == 3, source
 
     def test_lenient_report_matches_ingest_pipeline(self, tmp_path):
         records = [
@@ -1568,7 +1634,7 @@ class TestStreamedFallback:
                 writer = threading.Thread(
                     target=fifo.write_bytes, args=(corpus.read_bytes(),), daemon=True
                 )
-                if source == fifo:  # a FIFO is read once, by the whole-corpus run
+                if source == fifo:  # a FIFO is read once, into memory, then streamed
                     writer.start()
                 argv = [command, "--input", str(source), "--out-dir", str(out), "--lenient"]
                 assert main(argv) == 0

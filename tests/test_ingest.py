@@ -87,6 +87,9 @@ class TestFilterOutliers:
         out, removed = filter_outliers(groups, k=1)
         assert removed == 1
         assert [t.trajectory_id for t in out["i1"]] == ["t1", "t2"]
+        # one shared action is the least overlap a threshold can ask for
+        with pytest.raises(ConfigError, match="^outlier prefix threshold must be >= 1, got 0$"):
+            filter_outliers(groups, k=0)
 
     def test_singleton_instance_exempt(self):
         groups = group_by_instance([chain("t1", ["x"])])

@@ -423,6 +423,8 @@ class TestRoundTrip:
         assert obj["meta"] == {}
         parsed, _ = parse_trajectory_stream(io.StringIO(serialize_trajectory(t) + "\n"))
         assert parsed == [t]
+        # a record never equals a value of another type
+        assert t.__eq__(1) is NotImplemented and t != 1
 
 
 def built_or_parsed(fields: dict, pairs: list) -> Trajectory | None:

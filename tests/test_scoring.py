@@ -157,6 +157,8 @@ class TestIdentifyCritical:
         scores = score_nodes(fixture_tree)
         with pytest.raises(ConfigError):
             identify_critical_actions(fixture_tree, scores, threshold=Fraction(3, 2))
+        with pytest.raises(ConfigError, match="^unknown pair mode 'x'$"):
+            identify_critical_actions(fixture_tree, scores, pair_mode="x")
 
     def test_emitted_pairs_always_exceed_threshold(self, fixture_tree):
         scores = score_nodes(fixture_tree)

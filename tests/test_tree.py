@@ -68,6 +68,9 @@ class TestBuildTree:
     def test_prompt_mismatch_rejected(self, fixture_trajectories):
         with pytest.raises(InputError, match="prompt mismatch"):
             build_tree("inst-fix-x", "other prompt", fixture_trajectories)
+        stray = make_traj("t", [("a", None)], 1, instance_id="B")
+        with pytest.raises(InputError, match="^trajectory 't' belongs to 'B', not 'A'$"):
+            build_tree("A", PROMPT, [stray])
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
