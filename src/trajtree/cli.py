@@ -417,11 +417,14 @@ def _runs(
 
 
 def _corpus_lines(fh: Iterable[bytes], path: str) -> Iterator[bytes]:
-    """`fh`'s lines; a failed read is an input error, as a failed open is."""
+    """`fh`'s lines; a failed read is an input error on the line being read,
+    as a malformed line is."""
+    line_no = 0
     try:
-        yield from fh
+        for line_no, line in enumerate(fh, start=1):
+            yield line
     except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}") from exc
+        raise InputError(f"cannot read corpus {path}: {exc}", line=line_no + 1) from exc
 
 
 def _write(
@@ -446,11 +449,11 @@ def cmd_pipeline(args, config) -> None:
     Only `ingest` and `all` clean the corpus; later stages take it as
     retained. Each contiguous run of one instance's lines is cleaned,
     and each instance's tree is built only if a file needs it and written
-    to every file, before the next run is read. A malformed line fails the
-    pass that meets it. If an instance id comes back after another
-    instance began, or a run fails, the files are dropped and the whole
-    corpus is cleaned as one run, which gives the whole-corpus instance
-    order and error. The files are committed together.
+    to every file, before the next run is read. A malformed line or a
+    failed read fails the pass that meets it. If an instance id comes back
+    after another instance began, or a run fails, the files are dropped and
+    the whole corpus is cleaned as one run, which gives the whole-corpus
+    instance order and error. The files are committed together.
     """
     names = COMMAND_OUTPUTS[args.command]
     stage = stage_config(config)
@@ -477,9 +480,9 @@ def cmd_pipeline(args, config) -> None:
             fh.writelines(_corpus_lines(pipe, args.input))
         try:
             run = attempt(streamed=True)
-        # a malformed line met here is the corpus's first, as no run before
-        # it failed: the whole-corpus pass would raise it too. A prompt
-        # conflict later on outranks a run's error; the rerun raises it
+        # a malformed line or failed read met here is the corpus's first, as
+        # no run before it failed: the whole-corpus pass would raise it too.
+        # A prompt conflict later on outranks a run's error; the rerun raises it
         except (_Restart, InputError, InvariantError) as exc:
             if isinstance(exc, InputError) and exc.line is not None:
                 raise
@@ -608,8 +611,7 @@ def _add_options(p: _Parser, command: str) -> None:
         flag = "--" + key.replace("_", "-")
         if isinstance(default, bool):
             p.add_argument(flag, action="store_true")
-        else:  # the CLI generates 20 instances by default
-            default = 20 if key == "instances" else default
+        else:
             p.add_argument(flag, type=type(default), default=default)
 
 

@@ -41,22 +41,12 @@ def _reason(exc: BaseException) -> str:
     return str(exc)
 
 
-# the string encoding of the compact encoder (ensure_ascii=False), and its
-# fallback for a value of no JSON type (a set, say), which raises TypeError
+# The compact encoder of the corpus and every JSON-lines file, and its string
+# encoding. NaN, the infinities (so no output line holds them) and a container
+# met again inside itself raise ValueError, a value of no JSON type TypeError.
+# Each call makes its own markers: overlapping calls (threads, nested calls) share none.
 _string = json.encoder.encode_basestring
-_default = json.JSONEncoder().default
-
-
-def _encode(value: Any) -> str:
-    """The compact encoding of the corpus and every JSON-lines file: the C encoder
-    that JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
-    builds, built for this call alone, so overlapping calls (threads, nested calls)
-    share no markers. NaN, the infinities (so no output line holds them) and a
-    container met again inside itself raise ValueError."""
-    encoder = json.encoder.c_make_encoder(  # indent, separators, sort_keys, skipkeys, allow_nan
-        {}, _default, _string, None, ":", ",", False, False, False
-    )
-    return "".join(encoder(value, 0))  # one string, or (Python 3.10) its chunks
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
 
 
 # Top-level corpus fields; anything else is folded into meta on parse.

@@ -32,10 +32,11 @@ class StageConfig(NamedTuple):
 
 
 class SynthConfig(NamedTuple):
-    """Shape of a `trajtree.synth` corpus; the synth and selfcheck flags are its fields."""
+    """Shape of a `trajtree.synth` corpus; the synth and selfcheck flags are
+    its fields and defaults."""
 
     seed: int = 0
-    instances: int = 10
+    instances: int = 20
     branching: int = 3
     depth: int = 6
     trajectories_per_instance: int = 6

@@ -309,13 +309,33 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
     def test_corpus_that_fails_mid_read_exits_2(self, corpus_path, tmp_path, monkeypatch, capsys):
-        # /proc/self/mem opens, but reading its first page fails with EIO
+        # /proc/self/mem opens, but reading its first page fails with EIO; like a
+        # malformed line, the failed line ends the pass that reads it
+        original = cli._corpus_lines
+        entered = []
+
+        def counting(fh, path):
+            entered.append(path)
+            return original(fh, path)
+
+        monkeypatch.setattr(cli, "_corpus_lines", counting)
         out = tmp_path / "o"
         assert main(["all", "--input", "/proc/self/mem", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: cannot read corpus /proc/self/mem: [Errno 5] Input/output error\n"
+            "error: line 1: cannot read corpus /proc/self/mem: [Errno 5] Input/output error\n"
         )
         assert list(out.iterdir()) == []
+        assert entered == ["/proc/self/mem"]
+
+        def fails_on_line_3():
+            yield from (b"a\n", b"b\n")
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        with pytest.raises(InputError) as failed:
+            list(original(fails_on_line_3(), "c"))
+        reason = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+        assert failed.value.line == 3
+        assert str(failed.value) == f"line 3: cannot read corpus c: {reason}"
 
         def full(run, inst):  # a failed write is still an output error, exit 1
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -874,7 +894,7 @@ class TestSynthAndSelfcheck:
     def test_synth_flags_default_to_synth_config(self):
         args = cli.build_parser().parse_args(["synth", "--out-dir", "o"])
         config = cli.load_config(None, {})
-        assert cli._synth_config(args, config) == SynthConfig(seed=0, instances=20)
+        assert cli._synth_config(args, config) == SynthConfig()
 
     def test_stage_flags_default_to_stage_config(self, monkeypatch):
         # `all` runs with the config defaults; selfcheck and synth's ground

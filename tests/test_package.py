@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import trajtree
-from trajtree.cli import main
+from trajtree.cli import COMMAND_OUTPUTS, main
 from trajtree.model import serialize_trajectory
 
 import test_synth
@@ -243,7 +243,7 @@ def test_decode_is_called_only_by_the_line_loop_config_and_meta():
 
 def test_no_encoder_is_built_per_call():
     # a JSONEncoder built inside a function is built on every call; model._encode
-    # builds only the C encoder that JSONEncoder.encode would build for the call
+    # is the encode of one built at import
     built = [
         f"{path.name}:{node.lineno}"
         for path in sorted((SRC / "trajtree").glob("*.py"))
@@ -255,6 +255,53 @@ def test_no_encoder_is_built_per_call():
         )
     ]
     assert built == []
+
+
+# each command of argv[1] (a JSON list of argvs) on json's pure-Python scanner
+# and encoder, as on an interpreter built without the _json accelerator
+PURE_PYTHON_JSON = """
+import sys
+sys.modules["_json"] = None
+import json
+from trajtree.cli import main
+assert json.encoder.c_make_encoder is None and json.scanner.c_make_scanner is None
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_commands_write_the_same_bytes_without_the_json_accelerator(tmp_path, monkeypatch, capsys):
+    commands = [
+        ["synth", "--seed", "3", "--instances", "8", "--divergent-observations", "--out-dir", "s"],
+        ["all", "--input", "s/corpus.jsonl", "--out-dir", "a"],
+        ["loss", "--input", "loss_in.jsonl"],
+    ]
+    records = (
+        '{"kind": "sft", "action_logps": [-0.5, -1.5], "observation_logps": [-9.0]}\n'
+        '{"kind": "dpo", "policy_chosen": -2.0, "policy_rejected": -3.0,'
+        ' "ref_chosen": -2.5, "ref_rejected": -3.0, "beta": 0.1}\n'
+    )
+    accelerated, pure = tmp_path / "accelerated", tmp_path / "pure"
+    for cwd in (accelerated, pure):
+        cwd.mkdir()
+        (cwd / "loss_in.jsonl").write_text(records, encoding="utf-8")
+
+    monkeypatch.delenv("TRAJTREE_CONFIG", raising=False)
+    monkeypatch.chdir(accelerated)
+    assert [main(argv) for argv in commands] == [0, 0, 0]
+    stdout = run_fresh(PURE_PYTHON_JSON, json.dumps(commands), cwd=pure)
+    assert stdout == capsys.readouterr().out != ""
+
+    def files(root: Path) -> dict[str, bytes]:
+        return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+    written = files(pure)
+    assert written == files(accelerated)
+    assert set(written) == {
+        "loss_in.jsonl", "s/corpus.jsonl", "s/ground_truth.json",
+        *(f"a/{name}" for name in COMMAND_OUTPUTS["all"]),
+    }
 
 
 # loaded only by `synth`/`selfcheck` (hashlib with it) and `loss`
