@@ -5,9 +5,12 @@ Subcommands cover each stage plus `all` (full pipeline) and `selfcheck`
 1 usage/config error, 2 invalid input data, 3 internal invariant
 violation.
 
+This module handles arguments, config and files; `trajtree.emit` renders
+what the dataset commands write.
+
 A command loads only the modules it runs: the synthetic generator (and
-with it hashlib) and the loss math are imported by the commands that
-use them.
+with it hashlib) and the loss math and loss-record rules
+(`trajtree.losses`) are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -20,25 +23,22 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
-from operator import add
+from itertools import groupby
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
-from .emit import stats_from_totals
+from .emit import _DOCS, _Instance, _Run, _write_instance
 from .errors import ConfigError, InputError, InvariantError, TrajtreeError
 from .ingest import (
     DEFAULT_LOOP_THRESHOLD, DEFAULT_OUTLIER_MIN_PREFIX, IngestReport, group_by_instance,
     ingest_trajectories,
 )
 from .model import (
-    CanonConfig, Trajectory, _decode, _encode, _json_lines, _reason, _string, iter_trajectories,
+    CanonConfig, Trajectory, _decode, _encode, _json_lines, _reason, iter_trajectories,
     serialize_trajectory,
 )
-from .pipeline import StageConfig, SynthConfig, mine_instance, selfcheck
-from .scoring import ALL_PAIRS, DEFAULT_THRESHOLD, MAX_MIN, format_ratio, format_rational
-from .tree import TrajTree, path_ids, path_totals
+from .pipeline import StageConfig, SynthConfig, selfcheck
+from .scoring import ALL_PAIRS, DEFAULT_THRESHOLD, MAX_MIN, format_rational
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
 
@@ -201,187 +201,6 @@ COMMAND_OUTPUTS: dict[str, tuple[str, ...]] = {
 COMMAND_OUTPUTS["all"] = tuple(name for row in COMMAND_OUTPUTS.values() for name in row)
 
 
-class _Instance:
-    """One instance's trajectories and, built on first use, its mined tree and
-    the pieces every file's lines for it are spliced from. It is dropped
-    before the next instance's tree is built."""
-
-    def __init__(self, instance_id: str, ts: list[Trajectory], stage: StageConfig) -> None:
-        self.instance_id, self.ts, self.stage = instance_id, ts, stage
-
-    @cached_property
-    def mined(self) -> tuple[TrajTree, list[int], list[int], list[tuple[int, int, int]]]:
-        return mine_instance(self.instance_id, self.ts, self.stage)
-
-    @cached_property
-    def tree_parts(self) -> tuple[str, list[str]]:
-        """The tree_to_dict record up to `"nodes":[`, and each node's JSON without
-        its `}`, for trees.jsonl and scored_trees.jsonl, as the compact encoder
-        writes them. A leaf, as build_tree makes it, has no text and no children."""
-        tree = self.mined[0]
-        bodies = []
-        for node_id, (key, raw, text, children, outcome, tid) in enumerate(zip(
-            tree.action_key, tree.action_raw, tree.observation, tree.children, tree.outcome,
-            tree.trajectory_id,
-        )):
-            if key is not None:
-                key_text = _string(key)  # the raw text's JSON too, when the raw text is the key
-                kids = str(children[0]) if len(children) == 1 else ",".join(map(str, children))
-                bodies.append(
-                    f'{{"node_id":{node_id},"kind":"action","action_key":{key_text}'
-                    f',"action_raw":{key_text if raw == key else _string(raw)}'
-                    f',"observation":{"null" if text is None else _string(text)}'
-                    f',"children":[{kids}],"outcome":null,"trajectory_id":null'
-                )
-            elif outcome is not None:
-                bodies.append(
-                    f'{{"node_id":{node_id},"kind":"leaf","action_key":null,"action_raw":null'
-                    f',"observation":null,"children":[],"outcome":{outcome}'
-                    f',"trajectory_id":{_string(tid)}'
-                )
-            else:
-                bodies.append(
-                    f'{{"node_id":{node_id},"kind":"root","action_key":null,"action_raw":null'
-                    f',"observation":null,"children":[{",".join(map(str, children))}]'
-                    ',"outcome":null,"trajectory_id":null'
-                )
-        head = (
-            f'{{"instance_id":{_string(tree.instance_id)},"prompt":{_string(tree.prompt)}'
-            f',"root_id":{tree.root_id},"path_count":{tree.path_count}'
-            f',"trajectory_ids":[{",".join(map(_string, tree.trajectory_ids))}]'
-            f',"observation_divergences":{tree.observation_divergences},"nodes":['
-        )
-        return head, bodies
-
-    @cached_property
-    def pair_parts(self) -> list[tuple[str, str, str, str]]:
-        """Per pair: `{"instance_id":…`, `,"parent_node_id":N`, `,"context":[…]`
-        (encoded once per parent) and `,"chosen":…}` with its newline. A
-        pairs.jsonl line joins all four; a dpo.jsonl line skips the second."""
-        tree, successes, totals, triples = self.mined
-        head = '{"instance_id":' + _string(self.instance_id)
-        contexts: dict[int, str] = {}
-        # node id -> its raw action's JSON, and its score as "num/den" and as the
-        # encoder writes float(Fraction(s, n)), which is s / n: repr(s / n)
-        texts: dict[int, tuple[str, str, str]] = {}
-        parts = []
-        for parent_id, chosen, rejected in triples:
-            if parent_id not in contexts:
-                contexts[parent_id] = _context(tree, parent_id)
-            for i in (chosen, rejected):
-                if i not in texts:
-                    s, n = successes[i], totals[i]
-                    texts[i] = (_string(tree.action_raw[i]), format_ratio(s, n), repr(s / n))
-            chosen_raw, chosen_ratio, chosen_decimal = texts[chosen]
-            rejected_raw, rejected_ratio, rejected_decimal = texts[rejected]
-            tail = (
-                f',"chosen":{chosen_raw},"rejected":{rejected_raw}'
-                f',"score_chosen":"{chosen_ratio}","score_rejected":"{rejected_ratio}"'
-                f',"score_chosen_decimal":{chosen_decimal}'
-                f',"score_rejected_decimal":{rejected_decimal}}}\n'
-            )
-            parts.append((head, f',"parent_node_id":{parent_id}', contexts[parent_id], tail))
-        return parts
-
-
-def _context(tree: TrajTree, parent_id: int) -> str:
-    """`,"context":[…]` of the pairs below `parent_id`: the prompt, then each
-    path node's action and observation, as the compact encoder writes them."""
-    segments = "".join(
-        f',{{"role":"action","content":{_string(tree.action_raw[node_id])}}}'
-        f',{{"role":"observation","content":{_string(tree.observation[node_id])}}}'
-        for node_id in path_ids(tree, parent_id)
-    )
-    return f',"context":[{{"role":"prompt","content":{_string(tree.prompt)}}}{segments}]'
-
-
-class _Run:
-    """One dataset command's whole-corpus state: the ingest report, and the
-    counts stats.json and the sft warning are made from."""
-
-    def __init__(self, config: dict[str, Any], report: IngestReport | None) -> None:
-        self.config, self.report = config, report
-        self.totals = [0, 0, 0, 0]  # every tree's path_totals, summed
-        self.instances = self.pair_count = self.divergences = self.sft_examples = 0
-
-    def summarize(self, inst: _Instance) -> None:
-        tree, successes, totals, triples = inst.mined
-        self.totals = [a + b for a, b in zip(self.totals, path_totals(tree, successes, totals))]
-        self.pair_count += len(triples)
-        self.divergences += tree.observation_divergences
-
-    def with_config(self, doc: dict[str, Any]) -> str:
-        doc["effective_config"] = echo_config(self.config)
-        return json_doc(doc)
-
-
-def _scored_tree_line(run: _Run, inst: _Instance) -> str:
-    """Each node's trees.jsonl body with scored_tree_to_dict's columns appended,
-    formatted once per distinct (successes, total) of the instance."""
-    head, bodies = inst.tree_parts
-    _, successes, totals, _ = inst.mined
-    columns = {
-        (s, n): f',"successes":{s},"total":{n},"score":"{s}/{n}"}}'
-        for s, n in set(zip(successes, totals))
-    }
-    scored = map(add, bodies, map(columns.__getitem__, zip(successes, totals)))
-    return head + ",".join(scored) + "]}\n"
-
-
-def _sft_lines(run: _Run, inst: _Instance) -> str:
-    """sft_to_dict's record for each resolved trajectory, formatted field by
-    field; the prompt segment is encoded once, as group_by_instance gives an
-    instance one prompt."""
-    head = '{"instance_id":' + _string(inst.instance_id) + ',"trajectory_id":'
-    prompt = (
-        ',"segments":[{"role":"prompt","content":' + _string(inst.ts[0].prompt) + ',"loss":false}'
-    )
-    lines = []
-    for t in inst.ts:
-        if t.resolved != 1:
-            continue
-        lines.append(head + _string(t.trajectory_id) + prompt)
-        for s in t.steps:
-            lines.append(f',{{"role":"action","content":{_string(s.action)},"loss":true}}')
-            if s.observation is not None:
-                lines.append(
-                    f',{{"role":"observation","content":{_string(s.observation)},"loss":false}}'
-                )
-        lines.append("]}\n")
-        run.sft_examples += 1
-    return "".join(lines)
-
-
-# file -> its lines for one instance; each file is these, instance by instance
-_LINES: dict[str, Callable[[_Run, _Instance], str]] = {
-    "retained.jsonl": lambda run, inst: "".join(serialize_trajectory(t) + "\n" for t in inst.ts),
-    "trees.jsonl": lambda run, inst: inst.tree_parts[0] + "},".join(inst.tree_parts[1]) + "}]}\n",
-    "scored_trees.jsonl": _scored_tree_line,
-    "pairs.jsonl": lambda run, inst: "".join(chain.from_iterable(inst.pair_parts)),
-    "sft.jsonl": _sft_lines,
-    "dpo.jsonl": lambda run, inst: "".join(
-        piece for head, _, context, tail in inst.pair_parts for piece in (head, context, tail)
-    ),
-}
-
-# file -> the whole-corpus document written after the last instance
-_DOCS: dict[str, Callable[[_Run], str]] = {
-    "ingest_report.json": lambda run: run.with_config(run.report.to_dict()),
-    "stats.json": lambda run: run.with_config(stats_from_totals(
-        run.report, run.totals, run.instances, run.pair_count, run.divergences
-    )),
-}
-
-
-def _write_instance(run: _Run, files: dict[str, TextIO], inst: _Instance) -> None:
-    for name, fh in files.items():
-        if name in _LINES:
-            fh.write(_LINES[name](run, inst))
-    run.instances += 1
-    if "stats.json" in files:
-        run.summarize(inst)
-
-
 class _Restart(Exception):
     """The streamed pass cannot show that it writes what the whole-corpus pass
     would: an instance id came back."""
@@ -398,22 +217,19 @@ def _runs(
     run cleans as it would in the whole corpus. While a run is written,
     only it and the line that ended it are alive.
     """
-    written: set[str] = set()
-    ts: list[Trajectory] = []
-    for t in iter_trajectories(lines, strict, canon):
-        if t is None:
-            if run.report is not None:
+    def parsed() -> Iterator[Trajectory]:
+        for t in iter_trajectories(lines, strict, canon):
+            if t is not None:
+                yield t
+            elif run.report is not None:
                 run.report.malformed_skipped += 1
-            continue
-        if streamed and ts and t.instance_id != ts[0].instance_id:
-            written.add(ts[0].instance_id)
-            yield ts
-            ts = []
-        if t.instance_id in written:
+
+    written: set[str | bool] = set()  # each run's key: its instance id, or (not streamed) False
+    for instance_id, ts in groupby(parsed(), lambda t: streamed and t.instance_id):
+        if instance_id in written:
             raise _Restart  # instance order would differ
-        ts.append(t)
-    if ts:
-        yield ts
+        written.add(instance_id)
+        yield list(ts)
 
 
 def _corpus_lines(fh: Iterable[bytes], path: str) -> Iterator[bytes]:
@@ -425,22 +241,6 @@ def _corpus_lines(fh: Iterable[bytes], path: str) -> Iterator[bytes]:
             yield line
     except OSError as exc:
         raise InputError(f"cannot read corpus {path}: {exc}", line=line_no + 1) from exc
-
-
-def _write(
-    run: _Run, files: dict[str, TextIO], runs: Iterable[list[Trajectory]], stage: StageConfig
-) -> None:
-    """Clean (ingest) or group each run, and write its instances."""
-    for ts in runs:
-        if run.report is None:
-            groups = group_by_instance(ts)
-        else:
-            groups, report = ingest_trajectories(
-                ts, stage.loop_threshold, stage.outlier_min_prefix, stage.canon
-            )
-            run.report.add(report)
-        for instance_id, group in groups.items():
-            _write_instance(run, files, _Instance(instance_id, group, stage))
 
 
 def cmd_pipeline(args, config) -> None:
@@ -465,13 +265,22 @@ def cmd_pipeline(args, config) -> None:
 
     def attempt(streamed: bool) -> _Run:
         fh.seek(0)
-        run = _Run(config, IngestReport() if "retained.jsonl" in names else None)
+        run = _Run(IngestReport() if "retained.jsonl" in names else None)
         with output_files(Path(args.out_dir), names) as files:
-            lines = _corpus_lines(fh, args.input)
-            _write(run, files, _runs(run, lines, strict, stage.canon, streamed), stage)
-            for name, doc in files.items():
+            for ts in _runs(run, _corpus_lines(fh, args.input), strict, stage.canon, streamed):
+                if run.report is None:  # a later stage takes each run as retained
+                    groups = group_by_instance(ts)
+                else:
+                    groups, report = ingest_trajectories(
+                        ts, stage.loop_threshold, stage.outlier_min_prefix, stage.canon
+                    )
+                    run.report.add(report)
+                for instance_id, group in groups.items():
+                    _write_instance(run, files, _Instance(instance_id, group, stage))
+            for name, out in files.items():
                 if name in _DOCS:
-                    doc.write(_DOCS[name](run))
+                    doc = _DOCS[name](run) | {"effective_config": echo_config(config)}
+                    out.write(json_doc(doc))
         return run
 
     with fh:
@@ -521,51 +330,12 @@ def cmd_selfcheck(args, config) -> None:
     print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
 
 
-def _number(value: Any, name: str, index: int | None = None) -> int | float:
-    # json decodes a number to exactly int or float, and true to bool (an int
-    # subclass); float() would also take true and " 1e1 "
-    if type(value) not in (int, float):
-        label = name if index is None else f"{name}[{index}]"
-        raise InputError(f"{label} must be a JSON number, got {value!r}")
-    return value
-
-
-def _numbers(value: Any, name: str) -> tuple[int | float, ...]:
-    if not isinstance(value, list):
-        raise InputError(f"{name} must be a JSON array, got {value!r}")
-    return tuple(_number(v, name, i) for i, v in enumerate(value))
-
-
 def cmd_loss(args, config) -> None:
-    from .losses import DpoInputs, TrajectoryLogProbs, dpo_loss, dpo_loss_grad, sft_loss
-
-    def loss_result(obj: Any) -> dict[str, Any]:
-        """One record's result; every log-prob and beta must be a JSON number."""
-        if not isinstance(obj, dict):
-            raise InputError("loss record is not an object")
-        kind = obj.get("kind")
-        if kind == "sft":
-            lp = TrajectoryLogProbs(
-                action_logps=_numbers(obj["action_logps"], "action_logps"),
-                observation_logps=_numbers(obj.get("observation_logps", []), "observation_logps"),
-            )
-            loss = sft_loss(lp, reduction=obj.get("reduction", config["sft_reduction"]))
-            return {"kind": "sft", "loss": loss}
-        if kind == "dpo":
-            x = DpoInputs(**{name: float(_number(obj[name], name)) for name in DpoInputs._fields})
-            return {"kind": "dpo", "loss": dpo_loss(x), "grad": dpo_loss_grad(x)._asdict()}
-        raise InputError(f"loss record kind must be 'sft' or 'dpo', got {kind!r}")
+    from .losses import loss_result
 
     def loss_record(obj: Any) -> str:
-        """One record's result line; each error the line loop does not catch reads as InputError."""
-        try:
-            # a non-finite result fails to encode (ValueError), never reads `Infinity`
-            return _encode(loss_result(obj)) + "\n"
-        except KeyError as exc:  # only a record's own fields are looked up
-            raise InputError(f"missing field {exc.args[0]!r}") from exc
-        # ConfigError: the record's own beta or reduction is invalid
-        except (ConfigError, TypeError, OverflowError) as exc:
-            raise InputError(str(exc)) from exc
+        # a non-finite result fails to encode (ValueError), never reads `Infinity`
+        return _encode(loss_result(obj, config["sft_reduction"])) + "\n"
 
     try:
         # numbers and lines read as in a corpus, each line's error raised with its number

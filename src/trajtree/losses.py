@@ -4,12 +4,15 @@ Masked SFT loss over action log-probs and the DPO objective
 -log sigmoid(beta * margin difference), with analytic gradients.
 Inputs are sequence-level log-likelihoods; nothing here tokenizes or
 touches a model.
+
+`loss_result` holds the rules of a `trajtree loss` record; of the
+commands, only `loss` imports this module.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import ConfigError, InputError
 
@@ -94,3 +97,43 @@ def dpo_loss_grad(x: DpoInputs) -> DpoGrad:
         sig_neg = 1.0 / (1.0 + math.exp(delta))
     g = -x.beta * sig_neg
     return DpoGrad(policy_chosen=g, policy_rejected=-g, ref_chosen=-g, ref_rejected=g)
+
+
+def _number(value: Any, name: str, index: int | None = None) -> int | float:
+    # json decodes a number to exactly int or float, and true to bool (an int
+    # subclass); float() would also take true and " 1e1 "
+    if type(value) not in (int, float):
+        label = name if index is None else f"{name}[{index}]"
+        raise InputError(f"{label} must be a JSON number, got {value!r}")
+    return value
+
+
+def _numbers(value: Any, name: str) -> tuple[int | float, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a JSON array, got {value!r}")
+    return tuple(_number(v, name, i) for i, v in enumerate(value))
+
+
+def loss_result(obj: Any, reduction: str) -> dict[str, Any]:
+    """One decoded loss record's result: an sft record's loss under its own
+    reduction or `reduction`, or a dpo record's loss and gradient. Every
+    log-prob and beta must be a JSON number; every error reads as InputError."""
+    try:
+        if not isinstance(obj, dict):
+            raise InputError("loss record is not an object")
+        kind = obj.get("kind")
+        if kind == "sft":
+            lp = TrajectoryLogProbs(
+                action_logps=_numbers(obj["action_logps"], "action_logps"),
+                observation_logps=_numbers(obj.get("observation_logps", []), "observation_logps"),
+            )
+            return {"kind": "sft", "loss": sft_loss(lp, reduction=obj.get("reduction", reduction))}
+        if kind == "dpo":
+            x = DpoInputs(**{name: float(_number(obj[name], name)) for name in DpoInputs._fields})
+            return {"kind": "dpo", "loss": dpo_loss(x), "grad": dpo_loss_grad(x)._asdict()}
+        raise InputError(f"loss record kind must be 'sft' or 'dpo', got {kind!r}")
+    except KeyError as exc:  # only a record's own fields are looked up
+        raise InputError(f"missing field {exc.args[0]!r}") from exc
+    # ConfigError: the record's own beta or reduction is invalid
+    except (ConfigError, TypeError, OverflowError) as exc:
+        raise InputError(str(exc)) from exc

@@ -1,7 +1,7 @@
 """Stage orchestration shared by the CLI: the stage and synth configs,
 per-instance mining and selfcheck.
 
-`mine_instance` gives the per-node lists the CLI writes every file from.
+`mine_instance` gives the per-node lists `emit` renders every file from.
 `selfcheck` checks them, one synthetic instance at a time, against the
 brute-force oracles; only it needs the generator and the oracles, so it
 imports them itself.

@@ -21,7 +21,7 @@ from typing import Iterator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trajtree import cli, errors, ingest, model, pipeline, scoring
+from trajtree import cli, emit, errors, ingest, model, pipeline, scoring
 from trajtree.cli import COMMAND_OUTPUTS, atomic_write, jsonl, main
 from trajtree.emit import dpo_to_dict, emit_dpo, emit_sft, emit_stats, sft_to_dict
 from trajtree.errors import InputError
@@ -340,7 +340,7 @@ class TestExitCodes:
         def full(run, inst):  # a failed write is still an output error, exit 1
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setitem(cli._LINES, "trees.jsonl", full)
+        monkeypatch.setitem(emit._LINES, "trees.jsonl", full)
         assert main(["all", "--input", str(corpus_path), "--out-dir", str(out)]) == 1
         reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert capsys.readouterr().err == f"error: {reason}\n"
@@ -773,12 +773,12 @@ class TestSplicedRenderers:
                 "sft.jsonl": jsonl([sft_to_dict(e) for e in emit_sft(grouped)[0]]),
             }
             # as the CLI does: every file's lines from one _Instance per instance
-            run = cli._Run({}, None)
+            run = emit._Run(None)
             got = dict.fromkeys(expected, "")
             for instance_id, instance_ts in groups.items():
-                inst = cli._Instance(instance_id, instance_ts, stage)
+                inst = emit._Instance(instance_id, instance_ts, stage)
                 for name in expected:
-                    got[name] += cli._LINES[name](run, inst)
+                    got[name] += emit._LINES[name](run, inst)
             for name, text in expected.items():
                 assert got[name] == text, (name, strict_merge, pair_mode, collapse_whitespace)
 
@@ -816,7 +816,7 @@ class TestSplicedRenderers:
     def test_all_encodes_each_context_once(self, tmp_path, monkeypatch):
         synth_dir = tmp_path / "synth"
         assert main(["synth", "--seed", "5", "--instances", "30", "--out-dir", str(synth_dir)]) == 0
-        original = cli._context
+        original = emit._context
         contexts = 0
 
         def counting(*args):
@@ -824,7 +824,7 @@ class TestSplicedRenderers:
             contexts += 1
             return original(*args)
 
-        monkeypatch.setattr(cli, "_context", counting)
+        monkeypatch.setattr(emit, "_context", counting)
         out = tmp_path / "out"
         assert main(["all", "--input", str(synth_dir / "corpus.jsonl"), "--out-dir", str(out)]) == 0
         pairs = [json.loads(line) for line in (out / "pairs.jsonl").read_text().splitlines()]

@@ -154,6 +154,43 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_emit_is_the_one_render_layer():
+    # cli.py handles arguments, config and files: it defines no renderer and
+    # reads none of the pieces a dataset file is spliced from; emit's per-instance
+    # lines and whole-corpus documents name every output file once
+    from trajtree import emit
+
+    def module_names(path: Path) -> set[str]:
+        names = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        return names
+
+    renderers = {
+        "_Instance", "_context", "_Run", "_scored_tree_line", "_sft_lines", "_LINES", "_DOCS",
+        "_write_instance",
+    }
+    cli_path = SRC / "trajtree" / "cli.py"
+    assert renderers <= module_names(SRC / "trajtree" / "emit.py")
+    assert module_names(cli_path).isdisjoint(module_names(SRC / "trajtree" / "emit.py"))
+    read = set()
+    for node in ast.walk(ast.parse(cli_path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    pieces = {"_string", "path_ids", "path_totals", "format_ratio", "mine_instance"}
+    assert read.isdisjoint(pieces), sorted(read & pieces)
+    assert set(emit._LINES).isdisjoint(emit._DOCS)
+    assert sorted([*emit._LINES, *emit._DOCS]) == sorted(COMMAND_OUTPUTS["all"])
+
+
 def test_every_module_level_name_is_read():
     # a def, class or constant of a trajtree module that no module of src/,
     # tests/ or bench/ reads: as a name, an attribute or an imported alias

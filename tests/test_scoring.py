@@ -3,16 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajtree.errors import ConfigError
+from trajtree.errors import ConfigError, InvariantError
 from trajtree.scoring import (
     ALL_PAIRS,
     MAX_MIN,
     NodeScore,
+    distinct_triples,
     extract_critical_pairs,
     format_ratio,
     format_rational,
     identify_critical_actions,
     score_nodes,
+    subtree_counts,
 )
 from trajtree.synth import brute_force_scores
 from trajtree.tree import ACTION, TrajTree, build_tree
@@ -253,6 +255,38 @@ class TestExtractPairs:
         triples = identify_critical_actions(fixture_tree, scores)
         pairs = extract_critical_pairs(fixture_tree, triples * 2, scores)
         assert len(pairs) == 1
+
+
+class TestInvariantChecks:
+    """Checks that no tree build_tree makes can fail, each met on a tree built by hand."""
+
+    def test_root_total_must_equal_path_count(self):
+        # one action over one leaf is one path, but the tree claims two
+        tree = TrajTree(
+            "i", PROMPT, path_count=2, trajectory_ids=["t1"], observation_divergences=0,
+            parent=[-1, 0, 1], action_key=[None, "a", None], action_raw=[None, "a", None],
+            observation=[None, "o", None], outcome=[None, None, 1],
+            trajectory_id=[None, None, "t1"], children=[[1], [2], []],
+        )
+        with pytest.raises(InvariantError) as failed:
+            subtree_counts(tree)
+        assert str(failed.value) == "root path total 1 != path_count 2"
+
+    def test_pair_context_must_carry_observations(self):
+        # "a" has no observation, yet its children "b" (won) and "c" (lost) pair below it
+        tree = TrajTree(
+            "i", PROMPT, path_count=2, trajectory_ids=["t1", "t2"], observation_divergences=0,
+            parent=[-1, 0, 1, 1, 2, 3], action_key=[None, "a", "b", "c", None, None],
+            action_raw=[None, "a", "b", "c", None, None], observation=[None] * 6,
+            outcome=[None, None, None, None, 1, 0],
+            trajectory_id=[None, None, None, None, "t1", "t2"],
+            children=[[1], [2, 3], [4], [5], [], []],
+        )
+        successes, totals = subtree_counts(tree)
+        assert (successes[2], totals[2], successes[3], totals[3]) == (1, 1, 0, 1)
+        with pytest.raises(InvariantError) as failed:
+            distinct_triples(tree, [(1, 2, 3)])
+        assert str(failed.value) == "context of node 1 in 'i' lacks observations"
 
 
 def test_format_rational():
