@@ -8,9 +8,9 @@ violation.
 This module handles arguments, config and files; `trajtree.emit` renders
 what the dataset commands write.
 
-A command loads only the modules it runs: the synthetic generator (and
-with it hashlib) and the loss math and loss-record rules
-(`trajtree.losses`) are imported by the commands that use them.
+A command loads only the modules it runs: the synthetic-corpus subsystem
+(`trajtree.synth`, and with it hashlib) and the loss math and loss-record
+rules (`trajtree.losses`) are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import (
     CanonConfig, Trajectory, _decode, _encode, _json_lines, _reason, iter_trajectories,
     serialize_trajectory,
 )
-from .pipeline import StageConfig, SynthConfig, selfcheck
+from .pipeline import StageConfig
 from .scoring import ALL_PAIRS, DEFAULT_THRESHOLD, MAX_MIN, format_rational
 
 CONFIG_ENV_VAR = "TRAJTREE_CONFIG"
@@ -232,15 +232,15 @@ def _runs(
         yield list(ts)
 
 
-def _corpus_lines(fh: Iterable[bytes], path: str) -> Iterator[bytes]:
+def _corpus_lines(fh: Iterable[bytes], path: str, kind: str = "corpus ") -> Iterator[bytes]:
     """`fh`'s lines; a failed read is an input error on the line being read,
-    as a malformed line is."""
+    as a malformed line is. `kind` names the file before its path."""
     line_no = 0
     try:
         for line_no, line in enumerate(fh, start=1):
             yield line
     except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}", line=line_no + 1) from exc
+        raise InputError(f"cannot read {kind}{path}: {exc}", line=line_no + 1) from exc
 
 
 def cmd_pipeline(args, config) -> None:
@@ -300,12 +300,12 @@ def cmd_pipeline(args, config) -> None:
         print(f"warning: no successful trajectories in {args.input}", file=sys.stderr)
 
 
-# the synth/selfcheck flags and their defaults; seed is a config key
-_SYNTH_FLAGS = {k: v for k, v in SynthConfig._field_defaults.items() if k != "seed"}
+def _synth_config(args, config):
+    from .synth import SynthConfig
 
-
-def _synth_config(args, config) -> SynthConfig:
-    return SynthConfig(seed=config["seed"], **{name: getattr(args, name) for name in _SYNTH_FLAGS})
+    # the synth/selfcheck flags are its fields; seed is a config key
+    flags = {name: getattr(args, name) for name in SynthConfig._fields if name != "seed"}
+    return SynthConfig(seed=config["seed"], **flags)
 
 
 def cmd_synth(args, config) -> None:
@@ -325,8 +325,9 @@ def cmd_synth(args, config) -> None:
 
 
 def cmd_selfcheck(args, config) -> None:
-    synth_cfg = _synth_config(args, config)
-    summary = selfcheck(synth_cfg)
+    from .synth import selfcheck
+
+    summary = selfcheck(_synth_config(args, config))
     print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
 
 
@@ -338,15 +339,18 @@ def cmd_loss(args, config) -> None:
         return _encode(loss_result(obj, config["sft_reduction"])) + "\n"
 
     try:
-        # numbers and lines read as in a corpus, each line's error raised with its number
-        with open(args.input, "rb") as fh:
-            text = "".join(_json_lines(fh, loss_record, strict=True))
+        fh = open(args.input, "rb")
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
-    if args.output:
-        atomic_write(Path(args.output), text)
-    else:
-        sys.stdout.write(text)
+    with fh:
+        # read as corpus lines are: a bad line or a failed read names its line
+        results = _json_lines(_corpus_lines(fh, args.input, kind=""), loss_record, strict=True)
+        if args.output:  # each result is written as it is made
+            out = Path(args.output)
+            with output_files(out.parent, (out.name,)) as files:
+                files[out.name].writelines(results)
+        else:  # stdout gets nothing unless every line is good
+            sys.stdout.write("".join(results))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -377,12 +381,17 @@ def _add_options(p: _Parser, command: str) -> None:
             p.add_argument(flag, dest=key, type=type(default), default=None)
     if command == "loss":
         p.add_argument("--output", help="write results here instead of stdout")
-    for key, default in _SYNTH_FLAGS.items() if command in ("synth", "selfcheck") else ():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            p.add_argument(flag, action="store_true")
-        else:
-            p.add_argument(flag, type=type(default), default=default)
+    if command in ("synth", "selfcheck"):
+        from .synth import SynthConfig
+
+        for key, default in SynthConfig._field_defaults.items():
+            if key == "seed":  # a config key, added above
+                continue
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag, type=type(default), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:

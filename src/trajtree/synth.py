@@ -1,4 +1,7 @@
-"""Seeded synthetic corpora with planted structure, plus brute-force oracles.
+"""The synthetic-corpus subsystem: seeded corpora with planted structure
+and their config, brute-force oracles, the ground-truth writer, and
+`selfcheck`, which mines each generated instance as the CLI does and
+compares it with the oracles.
 
 The oracles work on flat prefix multisets and never touch the tree code,
 so they can independently check node scoring and pair extraction.
@@ -10,14 +13,45 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
+from .errors import ConfigError, InvariantError
+from .ingest import ingest_trajectories
 from .model import CanonConfig, Step, Trajectory, _string
-from .pipeline import SynthConfig  # defined with StageConfig; importable from here too
+from .pipeline import StageConfig, mine_instance
 from .scoring import DEFAULT_THRESHOLD
+from .tree import enumerate_paths, path_ids
 
 PREFIX_JOIN = ""  # unit separator; cannot appear in canonical keys we generate
 _instance_name = "inst{:04d}".format  # an instance's name from its index
+
+
+class SynthConfig(NamedTuple):
+    """Shape of a synthetic corpus; the synth and selfcheck flags are its
+    fields and defaults."""
+
+    seed: int = 0
+    instances: int = 20
+    branching: int = 3
+    depth: int = 6
+    trajectories_per_instance: int = 6
+    planted_critical: int = 1
+    loop_rate: float = 0.1
+    outlier_rate: float = 0.1
+    duplicate_rate: float = 0.1
+    divergent_observations: bool = False
+
+    def validate(self) -> None:
+        if self.depth < 1:
+            raise ConfigError("depth must be >= 1")
+        if min(self.instances, self.trajectories_per_instance, self.planted_critical) < 0:
+            raise ConfigError("counts must be >= 0")
+        if self.branching < 1:
+            raise ConfigError("branching must be >= 1")
+        for name in ("loop_rate", "outlier_rate", "duplicate_rate"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {p}")
 
 
 def _attach_observations(
@@ -278,3 +312,57 @@ def brute_force_pairs(
                 elif -cross > bound:
                     pairs.add((parent, b, a))
     return pairs
+
+
+def selfcheck(synth_config: SynthConfig) -> dict[str, Any]:
+    """Generate a synthetic corpus one instance at a time; clean and mine each
+    as the CLI does, and compare its per-node counts and distinct triples,
+    keyed by canonical action prefix, with the brute-force oracles.
+
+    Raises InvariantError on any disagreement; returns a summary record.
+    Uses the default StageConfig, which the generated ground truth assumes.
+    """
+    stage = StageConfig()
+    checked_instances = pair_total = input_count = retained_count = 0
+    for ts, truth in iter_instances(synth_config):
+        instance_id = truth["instance_id"]
+        groups, report = ingest_trajectories(ts)
+        input_count += report.input_count
+        retained_count += report.retained
+        retained = groups.get(instance_id, [])
+        if set(t.trajectory_id for t in retained) != set(truth["retained"]):
+            raise InvariantError(f"{instance_id}: retained set differs from ground truth")
+        if not retained:
+            continue
+        tree, successes, totals, triples = mine_instance(instance_id, retained, stage)
+        # path reconstruction: leaves must reproduce the retained set exactly
+        got_paths = {(keys, outcome) for keys, outcome, _ in enumerate_paths(tree)}
+        want_paths = {(t.action_keys(), t.resolved) for t in retained}
+        if got_paths != want_paths:
+            raise InvariantError(f"{instance_id}: tree paths differ from retained set")
+        key = tree.action_key
+        prefix = {  # the root and every action node: the action keys on its path
+            i: tuple(key[j] for j in path_ids(tree, i))
+            for i, outcome in enumerate(tree.outcome) if outcome is None
+        }
+        oracle_scores = brute_force_scores(retained)
+        if {p: (successes[i], totals[i]) for i, p in prefix.items()} != oracle_scores:
+            raise InvariantError(f"{instance_id}: node scores disagree with oracle")
+        oracle_pairs = brute_force_pairs(oracle_scores, stage.critical_threshold)
+        if {(prefix[p], key[c], key[r]) for p, c, r in triples} != oracle_pairs:
+            raise InvariantError(f"{instance_id}: critical pairs disagree with oracle")
+        for planted in truth["planted_pairs"]:
+            pair = (tuple(planted["prefix"]), planted["chosen"], planted["rejected"])
+            if pair not in oracle_pairs:
+                raise InvariantError(f"{instance_id}: planted pair missing from oracle")
+        checked_instances += 1
+        pair_total += len(triples)
+    return {
+        "status": "ok",
+        "seed": synth_config.seed,
+        "instances_generated": synth_config.instances,
+        "instances_checked": checked_instances,
+        "trajectories_input": input_count,
+        "trajectories_retained": retained_count,
+        "critical_pairs": pair_total,
+    }

@@ -12,6 +12,7 @@ import stat
 import sys
 import tempfile
 import threading
+import tracemalloc
 import weakref
 from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -1140,6 +1141,75 @@ class TestLossCommand:
         assert main(["loss", "--input", str(path), "--output", str(out)]) == 0
         assert json.loads(out.read_text())["loss"] == 1.0
 
+    def test_output_peak_memory_does_not_grow_with_the_records(self, tmp_path):
+        # --output writes each result as it is made; nothing holds them all
+        dpo = json.dumps(self.DPO) + "\n"
+
+        def peak(records: int) -> int:
+            path = tmp_path / f"in{records}.jsonl"
+            path.write_text(dpo * records, encoding="utf-8")
+            argv = ["loss", "--input", str(path), "--output", str(tmp_path / f"out{records}")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # the first run imports trajtree.losses
+        small, large = peak(2_000), peak(20_000)
+        assert large <= 2 * small, (small, large)
+        assert len((tmp_path / "out20000").read_text(encoding="utf-8").splitlines()) == 20_000
+
+    def test_bad_last_line_with_output_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "loss_in.jsonl"
+        path.write_text('{"kind": "sft", "action_logps": [-1.0]}\n' * 3 + "not json\n",
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["loss", "--input", str(path), "--output", str(out / "loss.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 4: Expecting value: line 1 column 1 (char 0)\n"
+        assert list(out.iterdir()) == []
+
+    def test_failed_read_names_its_line_and_failed_write_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "loss_in.jsonl"
+        path.write_text('{"kind": "sft", "action_logps": [-1.0]}\n' * 4, encoding="utf-8")
+        out = tmp_path / "o"
+        original = cli._corpus_lines
+
+        def fails_on_line_3(fh, *args, **kwargs):
+            def lines():
+                yield from itertools.islice(fh, 2)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return original(lines(), *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_corpus_lines", fails_on_line_3)
+        reason = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+        for output in ([], ["--output", str(out / "loss.jsonl")]):
+            assert main(["loss", "--input", str(path), *output]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "", output
+            assert captured.err == f"error: line 3: cannot read {path}: {reason}\n", output
+        assert list(out.iterdir()) == []
+        monkeypatch.undo()
+
+        class Full:  # a disk that fills on the first write
+            def writelines(self, lines):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        @contextmanager
+        def full(out_dir, names):
+            yield {name: Full() for name in names}
+
+        monkeypatch.setattr(cli, "output_files", full)
+        assert main(["loss", "--input", str(path), "--output", str(out / "loss.jsonl")]) == 1
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
 
 @pytest.mark.parametrize("number, message", [
     ("NaN", "non-finite number NaN"),
@@ -1533,6 +1603,26 @@ def _interleaved(tmp_path: Path) -> Path:
     ])
 
 
+# a small corpus that every ingest rule drops lines from, two instances wholly,
+# and the malformed lines a lenient run skips
+_DIRTY = [serialize_trajectory(t) for t in generate(SynthConfig(
+    seed=0, instances=5, trajectories_per_instance=6, depth=5, planted_critical=0,
+    loop_rate=0.25, duplicate_rate=0.25, outlier_rate=0.25,
+))[0]]
+_MALFORMED = ["not json", "[1]", '{"instance_id": "A"}']
+
+
+def _regrouped(lines: list[str]) -> list[str]:
+    """`lines` stably regrouped by instance, in the order ingest lists the
+    instances; wholly dropped instances, then malformed lines, go last."""
+    parsed = [parse_trajectory_stream([line], strict=False)[0] for line in lines]
+    ts = [t for one in parsed for t in one]
+    order = dict.fromkeys([*ingest_trajectories(ts)[0], *(t.instance_id for t in ts)])
+    rank = {name: i for i, name in enumerate(order)}
+    ranks = [rank[one[0].instance_id] if one else len(rank) for one in parsed]
+    return [line for _, line in sorted(zip(ranks, lines), key=lambda pair: pair[0])]
+
+
 class TestStreamedFallback:
     def test_interleaved_corpus_keeps_instance_order(self, tmp_path):
         corpus = _interleaved(tmp_path)
@@ -1665,6 +1755,32 @@ class TestStreamedFallback:
                 assert report.pop("effective_config")["lenient"] is True
                 assert report == expected.to_dict(), out
                 assert list(report["per_instance_retained"]) == ["A", "C"], out
+
+    @given(st.permutations(_DIRTY + _MALFORMED), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_rerun_writes_what_the_streamed_pass_writes(self, lines, lenient):
+        # a shuffled corpus goes to the whole-corpus rerun; its lines regrouped
+        # by instance stream in one pass, and must give the same result
+        if not lenient:
+            lines = [line for line in lines if line not in _MALFORMED]
+        original, passes, results = cli._runs, [], []
+
+        def recording(*args):
+            passes.append(args[-1])
+            return original(*args)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_runs", recording)
+            corpus = Path(tmp, "corpus.jsonl")
+            for name, ordered in (("shuffled", lines), ("regrouped", _regrouped(lines))):
+                _write_corpus(corpus, ordered)
+                argv = ["all", "--input", str(corpus), "--out-dir", str(Path(tmp, name))]
+                err, passes[:] = io.StringIO(), []
+                with redirect_stderr(err):
+                    code = main(argv + ["--lenient"] * lenient)
+                results.append((code, err.getvalue(), read_outputs(Path(tmp, name))))
+            assert passes == [True]  # the regrouped corpus needed no rerun
+        assert results[0] == results[1]
 
 
 class TestOutputMode:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -37,12 +38,11 @@ PUBLIC = {name: module for module, names in {
         "CanonConfig", "Step", "Trajectory", "canonicalize_action", "parse_trajectory_stream",
         "serialize_trajectory",
     ),
-    "pipeline": ("SynthConfig",),
     "scoring": (
         "CriticalPair", "NodeScore", "Segment", "extract_critical_pairs",
         "identify_critical_actions", "score_nodes",
     ),
-    "synth": ("brute_force_pairs", "brute_force_scores", "generate"),
+    "synth": ("SynthConfig", "brute_force_pairs", "brute_force_scores", "generate", "selfcheck"),
     "tree": ("TrajTree", "TreeNode", "build_tree", "enumerate_paths"),
 }.items() for name in names}
 
@@ -80,12 +80,6 @@ class TestLazyPackage:
     def test_name_is_its_defining_modules_object(self, name):
         module = importlib.import_module(f"trajtree.{PUBLIC[name]}")
         assert getattr(module, name).__module__ == module.__name__
-
-    def test_synth_config_is_one_class(self):
-        from trajtree.pipeline import SynthConfig
-        from trajtree.synth import SynthConfig as FromSynth
-
-        assert SynthConfig is FromSynth
 
     @pytest.mark.parametrize("script", ["tracing.py", "run.py"])
     def test_every_name_the_benchmark_reads_exists(self, script):
@@ -219,6 +213,59 @@ def test_every_module_level_name_is_read():
                 if name not in read and not (name.startswith("__") and name.endswith("__"))
             ]
     assert dead == []
+
+
+def imports(path: Path) -> Iterator[tuple[str, str]]:
+    """(module, name bound) for each import anywhere in `path`, module-level
+    or inside a function; relative imports resolve within trajtree."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(["trajtree"] * bool(node.level) + [node.module or ""]).strip(".")
+            for alias in node.names:
+                # `from trajtree import synth` imports the module trajtree.synth
+                is_module = module == "trajtree" and (SRC / module / f"{alias.name}.py").is_file()
+                yield f"{module}.{alias.name}" if is_module else module, alias.asname or alias.name
+
+
+def test_pipeline_imports_nothing_from_synth():
+    # the synthetic-corpus subsystem builds on the stage code, never the reverse
+    found = [
+        f"{module} as {name}" for module, name in imports(SRC / "trajtree" / "pipeline.py")
+        if module == "trajtree.synth" or module.startswith("trajtree.synth.")
+    ]
+    assert found == []
+
+
+def test_oracles_read_no_tree_ingest_pipeline_or_scoring_name():
+    # the oracles share synth.py with the harness that mines through the tree
+    # code; they read none of it, so they check it independently. Functions of
+    # synth.py that they call are held to the same rule.
+    path = SRC / "trajtree" / "synth.py"
+    banned = {
+        name for module, name in imports(path)
+        if module in ("trajtree.tree", "trajtree.ingest", "trajtree.pipeline")
+        or (module == "trajtree.scoring" and name != "DEFAULT_THRESHOLD")
+    }
+    assert {"enumerate_paths", "ingest_trajectories", "mine_instance"} <= banned
+    functions = {
+        node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    todo = ["brute_force_scores", "brute_force_pairs", "_intended_retained"]
+    checked, found = set(), []
+    while todo:
+        name = todo.pop()
+        checked.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in banned:
+                    found.append(f"{name}:{node.lineno} {node.id}")
+                elif node.id in functions and node.id not in checked:
+                    todo.append(node.id)
+    assert found == []
 
 
 def test_only_model_touches_the_key_cache():

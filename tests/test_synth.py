@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajtree import pipeline, synth
+from trajtree import synth
 from trajtree.cli import json_doc, main
 from trajtree.errors import ConfigError, InvariantError
 from trajtree.ingest import ingest_trajectories
 from trajtree.model import Step, Trajectory, serialize_trajectory
-from trajtree.pipeline import StageConfig, mine_instance, selfcheck
+from trajtree.pipeline import StageConfig, mine_instance
 from trajtree.synth import (
     SynthConfig,
     _attach_observations,
@@ -26,6 +26,7 @@ from trajtree.synth import (
     generate,
     iter_instances,
     render_truth,
+    selfcheck,
     truth_chunks,
 )
 
@@ -234,10 +235,10 @@ class TestSelfcheckFaults:
 
     FAULTS = {
         "retained set differs from ground truth":
-            (pipeline, "ingest_trajectories", _drop_one_retained),
-        "tree paths differ from retained set": (pipeline, "mine_instance", _flip_one_outcome),
-        "node scores disagree with oracle": (pipeline, "mine_instance", _miscount_one_node),
-        "critical pairs disagree with oracle": (pipeline, "mine_instance", _swap_every_pair),
+            (synth, "ingest_trajectories", _drop_one_retained),
+        "tree paths differ from retained set": (synth, "mine_instance", _flip_one_outcome),
+        "node scores disagree with oracle": (synth, "mine_instance", _miscount_one_node),
+        "critical pairs disagree with oracle": (synth, "mine_instance", _swap_every_pair),
         "planted pair missing from oracle": (synth, "iter_instances", _swap_planted_pairs),
     }
 
