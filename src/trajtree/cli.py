@@ -23,7 +23,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, takewhile
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -46,9 +46,9 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
     "collapse_whitespace": True,
     "loop_threshold": DEFAULT_LOOP_THRESHOLD,
     "outlier_min_prefix": DEFAULT_OUTLIER_MIN_PREFIX,
-    "merge_mode": "action-only",  # action-only | strict
+    "merge_mode": "action-only",
     "critical_threshold": format_rational(DEFAULT_THRESHOLD),
-    "pair_mode": ALL_PAIRS,  # all-pairs | max-min
+    "pair_mode": ALL_PAIRS,
     "sft_reduction": "sum",
     "lenient": False,
     "jobs": 1,
@@ -79,12 +79,11 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> dict[str, Any]:
 
 
 def _validate_config(config: dict[str, Any]) -> None:
-    if config["merge_mode"] not in ("action-only", "strict"):
-        raise ConfigError(f"merge_mode must be action-only or strict: {config['merge_mode']!r}")
-    if config["pair_mode"] not in (ALL_PAIRS, MAX_MIN):
-        raise ConfigError(f"pair_mode must be {ALL_PAIRS} or {MAX_MIN}: {config['pair_mode']!r}")
-    if config["sft_reduction"] not in ("sum", "mean"):
-        raise ConfigError(f"sft_reduction must be sum or mean: {config['sft_reduction']!r}")
+    choices = {"merge_mode": ("action-only", "strict"), "pair_mode": (ALL_PAIRS, MAX_MIN),
+               "sft_reduction": ("sum", "mean")}
+    for key, allowed in choices.items():
+        if config[key] not in allowed:
+            raise ConfigError(f"{key} must be {' or '.join(allowed)}: {config[key]!r}")
     for key in ("collapse_whitespace", "lenient"):
         if not isinstance(config[key], bool):
             raise ConfigError(f"{key} must be true or false: {config[key]!r}")
@@ -137,9 +136,11 @@ def echo_config(config: dict[str, Any]) -> dict[str, Any]:
 
 @contextmanager
 def output_files(out: Path, names: Iterable[str]) -> Iterator[dict[str, TextIO]]:
-    """Open a temp file per name in `out`; rename them all onto their names
-    (in order) when the block succeeds, or close and delete them all when it
-    raises, so a failed command leaves no file of its output set behind.
+    """Open a temp file per name in `out`, making `out` and its missing
+    parents; rename them all onto their names (in order) when the block
+    succeeds. When it raises, close and delete them all, and remove each
+    directory the block made while it is still empty, deepest first, so a
+    failed command leaves no file and no directory that it made.
     A name that is a directory fails the block before the first rename.
     (Only a failure among the renames themselves can leave the names
     renamed so far replaced.)
@@ -148,29 +149,29 @@ def output_files(out: Path, names: Iterable[str]) -> Iterator[dict[str, TextIO]]
     the umask; a temp name that already exists fails the block and is left
     as it was.
     """
-    out.mkdir(parents=True, exist_ok=True)
-    temps: list[tuple[str, Path]] = []
-    files: dict[str, TextIO] = {}
+    missing = list(takewhile(lambda d: not d.exists(), (out, *out.parents)))  # deepest first
+    files: dict[str, TextIO] = {}  # name -> its open temp file, whose .name is the temp path
     try:
+        out.mkdir(parents=True, exist_ok=True)
         for name in names:
-            tmp = out / f".{name}.{os.urandom(8).hex()}"
-            files[name] = open(tmp, "x", encoding="utf-8")
-            temps.append((name, tmp))
+            files[name] = open(out / f".{name}.{os.urandom(8).hex()}", "x", encoding="utf-8")
         yield files
         for fh in files.values():
             fh.close()
-        for name, _ in temps:  # os.replace would fail here, after the earlier renames
+        for name in files:  # os.replace would fail here, after the earlier renames
             if (out / name).is_dir() and not (out / name).is_symlink():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
-        for name, tmp in temps:
-            os.replace(tmp, out / name)
+        for name, fh in files.items():
+            os.replace(fh.name, out / name)
     except BaseException:
         for fh in files.values():
             with suppress(OSError):
                 fh.close()
-        for _, tmp in temps:
             with suppress(OSError):
-                os.unlink(tmp)
+                os.unlink(fh.name)
+        for directory in missing:
+            with suppress(OSError):
+                directory.rmdir()
         raise
 
 

@@ -42,12 +42,8 @@ class IngestReport(_Record):
 
     def add(self, other: IngestReport) -> None:
         """Fold in the report of a later part of the corpus that shares no instance."""
-        self.input_count += other.input_count
-        self.duplicates_removed += other.duplicates_removed
-        self.loops_removed += other.loops_removed
-        self.outliers_removed += other.outliers_removed
-        self.retained += other.retained
-        self.malformed_skipped += other.malformed_skipped
+        for name in self._fields[:-1]:  # every counter; per_instance_retained is last
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.per_instance_retained.update(other.per_instance_retained)
 
 

@@ -49,10 +49,6 @@ _string = json.encoder.encode_basestring
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
 
 
-# Top-level corpus fields; anything else is folded into meta on parse.
-_KNOWN_FIELDS = {"instance_id", "trajectory_id", "prompt", "steps", "resolved", "meta"}
-
-
 def _utf8(text: str) -> bool:
     """Whether `text` has a UTF-8 form, which a lone surrogate has not."""
     try:
@@ -193,6 +189,10 @@ class Trajectory(_Record):
             keys = tuple([canonicalize_action(step[0], config) for step in self.steps])
             self._keys[config] = keys
         return keys
+
+
+# Top-level corpus fields; anything else is folded into meta on parse.
+_KNOWN_FIELDS = frozenset(Trajectory._fields)
 
 
 def _parse_record(obj: Any, canon: CanonConfig) -> Trajectory:

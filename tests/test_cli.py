@@ -325,7 +325,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: line 1: cannot read corpus /proc/self/mem: [Errno 5] Input/output error\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert entered == ["/proc/self/mem"]
 
         def fails_on_line_3():
@@ -345,7 +345,7 @@ class TestExitCodes:
         assert main(["all", "--input", str(corpus_path), "--out-dir", str(out)]) == 1
         reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert capsys.readouterr().err == f"error: {reason}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_blank_action_after_cached_actions(self, tmp_path, corpus_path, capsys):
         # the parse memoizes action keys; a blank action is still an error on
@@ -778,8 +778,20 @@ class TestSplicedRenderers:
             got = dict.fromkeys(expected, "")
             for instance_id, instance_ts in groups.items():
                 inst = emit._Instance(instance_id, instance_ts, stage)
+                lines = {name: emit._LINES[name](run, inst) for name in expected}
                 for name in expected:
-                    got[name] += emit._LINES[name](run, inst)
+                    got[name] += lines[name]
+                # each dpo.jsonl line is its pairs.jsonl line less parent_node_id,
+                # and the trees.jsonl line the scored_trees.jsonl line less each
+                # node's successes, total and score
+                dpo = [{k: v for k, v in json.loads(line).items() if k != "parent_node_id"}
+                       for line in lines["pairs.jsonl"].split("\n")[:-1]]
+                scored = json.loads(lines["scored_trees.jsonl"])
+                for node in scored["nodes"]:
+                    del node["successes"], node["total"], node["score"]
+                config = (instance_id, strict_merge, pair_mode, collapse_whitespace)
+                assert jsonl(dpo) == lines["dpo.jsonl"], config
+                assert jsonl([scored]) == lines["trees.jsonl"], config
             for name, text in expected.items():
                 assert got[name] == text, (name, strict_merge, pair_mode, collapse_whitespace)
 
@@ -1194,7 +1206,7 @@ class TestLossCommand:
             captured = capsys.readouterr()
             assert captured.out == "", output
             assert captured.err == f"error: line 3: cannot read {path}: {reason}\n", output
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         monkeypatch.undo()
 
         class Full:  # a disk that fills on the first write
@@ -1238,7 +1250,7 @@ def test_every_json_input_reads_numbers_one_way(number, message, corpus_path, tm
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == f"error: {err}{message}\n", argv
-    assert list((tmp_path / "o").iterdir()) == []
+    assert not (tmp_path / "o").exists()
 
 
 BOM = b"\xef\xbb\xbf"  # a UTF-8 byte-order mark, as some editors start a file
@@ -1264,7 +1276,7 @@ class TestByteOrderMark:
         out = tmp_path / "o"
         assert main(["all", "--input", str(corpus), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: line 1: {BOM_MESSAGE}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         # lenient: the marked first line is one malformed line, skipped
         assert main(["all", "--lenient", "--input", str(corpus), "--out-dir", str(out)]) == 0
         report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
@@ -1440,7 +1452,7 @@ class TestNoPartialOutput:
         bad.write_text("not json\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["all", "--input", str(bad), "--out-dir", str(out)]) == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_failure_mid_stream_commits_no_file(self, tmp_path):
         # instance a is valid; instance b, after it, repeats trajectory id t
@@ -1461,8 +1473,31 @@ class TestNoPartialOutput:
         assert sorted(before) == sorted(COMMAND_OUTPUTS["all"])
         for out in (fresh, kept):
             assert main(["all", "--input", str(bad), "--out-dir", str(out)]) == 2
-        assert list(fresh.iterdir()) == []
+        assert not fresh.exists()
         assert read_outputs(kept) == before
+
+    def test_failed_run_removes_only_the_directories_it_made(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        loss_in = tmp_path / "loss_in.jsonl"
+        loss_in.write_text('{"kind": "sft", "action_logps": [-1.0]}\nnot json\n', encoding="utf-8")
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("ours\n", encoding="utf-8")
+        for argv in (
+            ["all", "--input", str(bad), "--out-dir", str(kept)],
+            ["all", "--input", str(bad), "--out-dir", str(kept / "new" / "deeper")],
+            ["loss", "--input", str(loss_in), "--output", str(kept / "made" / "l.jsonl")],
+        ):
+            assert main(argv) == 2, argv
+            assert [p.name for p in kept.iterdir()] == ["notes.txt"], argv
+            assert (kept / "notes.txt").read_text(encoding="utf-8") == "ours\n"
+        # a directory it made that is no longer empty stays
+        with pytest.raises(RuntimeError):
+            with cli.output_files(kept / "new" / "deeper", ("x.jsonl",)):
+                (kept / "new" / "other.txt").write_text("theirs\n", encoding="utf-8")
+                raise RuntimeError
+        assert [p.name for p in (kept / "new").iterdir()] == ["other.txt"]
 
     @pytest.mark.parametrize(
         "command, target", [("all", "stats.json"), ("synth", "ground_truth.json")]
@@ -1661,7 +1696,7 @@ class TestStreamedFallback:
                 argv = [command, "--input", str(source), "--out-dir", str(out)]
                 assert main(argv) == 2, argv
                 errs.append(capsys.readouterr().err)
-                assert not out.exists() or list(out.iterdir()) == [], argv
+                assert not out.exists(), argv
             assert "line 4" in errs[0] and errs[1] == errs[0], command
 
     def test_prompt_conflict_outranks_an_earlier_duplicate_id(self, tmp_path, capsys):
@@ -1677,7 +1712,7 @@ class TestStreamedFallback:
                 argv = [command, "--input", str(source), "--out-dir", str(out)]
                 assert main(argv) == 2, argv
                 errs.append(capsys.readouterr().err)
-                assert not out.exists() or list(out.iterdir()) == [], argv
+                assert not out.exists(), argv
             assert "conflicting prompts" in errs[0] and "'B'" in errs[0], command
             assert errs[1] == errs[0], command
 
@@ -1705,7 +1740,7 @@ class TestStreamedFallback:
                 assert capsys.readouterr().err == (
                     "error: line 4: Expecting value: line 1 column 1 (char 0)\n"
                 ), argv
-                assert not out.exists() or list(out.iterdir()) == [], argv
+                assert not out.exists(), argv
         for source in _file_then_fifo(corpus):
             calls, out = 0, tmp_path / "lenient" / source.suffix[1:]
             assert main(["all", "--input", str(source), "--out-dir", str(out), "--lenient"]) == 0
